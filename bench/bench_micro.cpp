@@ -11,6 +11,7 @@
 #include "analysis/scenario.h"
 #include "core/try_adjust_protocol.h"
 #include "obs/obs.h"
+#include "phy/gain_table.h"
 #include "phy/interference.h"
 #include "metric/packing.h"
 #include "sim/batch.h"
@@ -255,6 +256,32 @@ void BM_BatchTrials(benchmark::State& state) {
                           static_cast<std::int64_t>(trials));
 }
 BENCHMARK(BM_BatchTrials)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// Cold gain-tile fills: k = 32 source rows (a static-8k round's ~31
+// transmitters) refilled from scratch every iteration on a uniform-square
+// instance. Re-placing one node at its own position bumps the metric
+// version, so every resident tile goes stale and ensure_rows recomputes all
+// k·n entries (distance + path loss); items are gain entries.
+void BM_GainTileFill(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRows = 32;
+  Rng rng(5);
+  EuclideanMetric metric(uniform_square(n, std::sqrt(n / 8.0), rng));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  std::vector<NodeId> rows;
+  for (std::size_t i = 0; i < kRows; ++i)
+    rows.push_back(NodeId(static_cast<std::uint32_t>(rng.below(n))));
+  GainTable gains;
+  gains.bind(metric, pl);
+  for (auto _ : state) {
+    metric.set_position(NodeId(0), metric.position(NodeId(0)));
+    if (!gains.ensure_rows(rows, nullptr)) state.SkipWithError("over budget");
+    benchmark::DoNotOptimize(gains.row_block(rows[0], 0));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRows * n));
+}
+BENCHMARK(BM_GainTileFill)->Arg(2048)->Arg(8192);
 
 void BM_GreedyPacking(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

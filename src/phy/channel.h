@@ -11,8 +11,9 @@
 //                      the determinism audit treat it as the specification.
 //   * resolve_into() — the production pipeline: reuses a caller-owned
 //                      SlotWorkspace (no steady-state allocation), serves
-//                      neighborhoods and pairwise gains from an epoch-
-//                      invalidated TopologyCache, prunes decode/clear
+//                      neighborhoods and pairwise gains from a
+//                      TopologyCache (delta-invalidated per round, epoch
+//                      fallback; see topology_cache.h), prunes decode/clear
 //                      candidates with a SpatialGrid on Euclidean
 //                      instances, and can run the interference kernel on a
 //                      deterministic TaskPool. Its SlotOutcome is
@@ -57,8 +58,8 @@ struct SlotOutcome {
 };
 
 struct SlotWorkspaceConfig {
-  /// Serve neighborhoods and gain rows from the epoch-invalidated
-  /// TopologyCache instead of re-deriving them per slot.
+  /// Serve neighborhoods and gain rows from the TopologyCache (delta-
+  /// invalidated, epoch fallback) instead of re-deriving them per slot.
   bool cache_topology = true;
   /// Prune decode/clear candidates with a SpatialGrid on Euclidean
   /// instances (requires cache_topology; ignored for asymmetric metrics).

@@ -99,6 +99,14 @@ class FarFieldWorkspace {
   // Distinct transmitter cells (CSR over tx_sorted_).
   std::vector<std::uint32_t> txc_cell_;
   std::vector<std::uint32_t> txc_begin_;  // size txc_cell_.size() + 1
+  // Per distinct transmitter cell: grid coordinates and transmitter count,
+  // decoded once per slot for the far aggregation loop.
+  struct TxCell {
+    std::size_t cx = 0;
+    std::size_t cy = 0;
+    double count = 0;
+  };
+  std::vector<TxCell> txc_pos_;
   // Translation-invariant per-offset tables: index |Δcx| * ncy + |Δcy|.
   std::vector<double> offset_dist_;
   std::vector<double> offset_signal_;

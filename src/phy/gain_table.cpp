@@ -4,6 +4,8 @@
 #include <cstdio>
 
 #include "common/contract.h"
+#include "metric/distance_row.h"
+#include "metric/euclidean.h"
 
 namespace udwn {
 
@@ -28,6 +30,7 @@ GainTable::GainTable(Config config) : config_(config) {
 void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   metric_ = &metric;
   pathloss_ = &pathloss;
+  euclidean_ = dynamic_cast<const EuclideanMetric*>(&metric);
   n_ = metric.size();
   tile_cols_ = config_.tile_cols;
   col_shift_ = log2_of(tile_cols_);
@@ -133,10 +136,19 @@ void GainTable::fill_tile(std::size_t tile) {
   const std::size_t count = block_cols(b);
   double* dst = storage_.data() +
                 static_cast<std::size_t>(tile_slot_[tile]) * stride_;
-  const NodeId id(static_cast<std::uint32_t>(u));
-  for (std::size_t j = 0; j < count; ++j)
-    dst[j] = pathloss_->signal(metric_->distance(
-        id, NodeId(static_cast<std::uint32_t>(begin + j))));
+  if (euclidean_ != nullptr) {
+    // Batch path: the row's distances land in the tile itself (the same
+    // exact_hypot EuclideanMetric::distance evaluates, see
+    // metric/distance_row.h), then the signal is applied in place.
+    const std::span<const Vec2> pts = euclidean_->positions();
+    distance_row(pts[u], pts.subspan(begin, count), dst);
+    for (std::size_t j = 0; j < count; ++j) dst[j] = pathloss_->signal(dst[j]);
+  } else {
+    const NodeId id(static_cast<std::uint32_t>(u));
+    for (std::size_t j = 0; j < count; ++j)
+      dst[j] = pathloss_->signal(metric_->distance(
+          id, NodeId(static_cast<std::uint32_t>(begin + j))));
+  }
   // Diagonal contract: the self entry is +0.0 so kernels can add whole rows
   // without a branch (see file comment in gain_table.h).
   if (u >= begin && u < begin + count) dst[u - begin] = 0.0;

@@ -2,9 +2,9 @@
 //
 // The slot pipeline reads the same gain pathloss.signal(metric.distance(u,v))
 // once per transmitter/listener pair per slot — recomputing it costs a
-// virtual distance call plus a libm pow. The old design cached a flat n×n
-// table but only while n <= 4096, so large instances silently lost all
-// caching. GainTable replaces that cliff with a tiled table:
+// distance plus a libm pow. The old design cached a flat n×n table but only
+// while n <= 4096, so large instances silently lost all caching. GainTable
+// replaces that cliff with a tiled table:
 //
 //   * a *tile* is one contiguous column block of one source row —
 //     `tile_cols` listener entries (the last block of a row may be ragged);
@@ -15,10 +15,18 @@
 //   * a tile is *fresh* while its stamp matches the metric version; moves
 //     invalidate by stamp, never by writeback.
 //
+// Tile fills: on Euclidean instances (resolved once at bind) a tile's
+// distances are computed as one batch — metric/distance_row.h, four lanes
+// per AVX2 op — straight into the tile, then pathloss.signal is applied in
+// place. The batch evaluates exact_hypot (metric/geometry.h), the very
+// function EuclideanMetric::distance calls, lane for lane, so the distances
+// are bit-identical to the per-entry ones. Other metrics fill entry by
+// entry through the virtual distance.
+//
 // Bit-exactness contract (what makes the cached pipeline identical to the
-// brute-force reference): every entry is produced by the exact expression
-// the uncached kernels evaluate — same doubles in, same libm call — except
-// the self entry gains[u][u], which is stored as +0.0. Kernels may therefore
+// brute-force reference): every entry is the double the uncached kernels
+// evaluate — same distance function, same pathloss.signal — except the
+// self entry gains[u][u], which is stored as +0.0. Kernels may therefore
 // add a whole row without skipping the diagonal: all partial interference
 // sums are >= +0.0, and x + 0.0 == x bit-for-bit for every non-negative
 // double, so including the zeroed diagonal is indistinguishable from the
@@ -42,6 +50,8 @@
 #include "phy/pathloss.h"
 
 namespace udwn {
+
+class EuclideanMetric;
 
 class GainTable {
  public:
@@ -160,6 +170,9 @@ class GainTable {
   Config config_;
   const QuasiMetric* metric_ = nullptr;
   const PathLoss* pathloss_ = nullptr;
+  // metric_ when it is Euclidean (resolved once at bind): tiles then fill
+  // through the batched distance row instead of per-entry virtual calls.
+  const EuclideanMetric* euclidean_ = nullptr;
 
   std::size_t n_ = 0;
   std::size_t blocks_ = 0;

@@ -6,6 +6,8 @@
 // finite).
 #pragma once
 
+#include <cmath>
+
 namespace udwn {
 
 class PathLoss {
@@ -14,8 +16,12 @@ class PathLoss {
   /// power in this model), `near_limit` > 0 clamps tiny distances.
   PathLoss(double power, double zeta, double near_limit);
 
-  /// Signal strength P / max(d, near_limit)^ζ.
-  [[nodiscard]] double signal(double dist) const;
+  /// Signal strength P / max(d, near_limit)^ζ. Inline: gain-tile fills
+  /// apply it to every entry of a freshly computed distance row.
+  [[nodiscard]] double signal(double dist) const {
+    const double d = dist < near_limit_ ? near_limit_ : dist;
+    return power_ / std::pow(d, zeta_);
+  }
 
   /// Distance at which the signal equals `strength`: (P/strength)^(1/ζ).
   [[nodiscard]] double range_for_signal(double strength) const;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "analysis/scenario.h"
 #include "metric/euclidean.h"
@@ -172,6 +173,56 @@ TEST(GainTable, ParallelFillMatchesSerialFill) {
       ASSERT_NE(parallel.cell(u, v), nullptr);
       EXPECT_EQ(*serial.cell(u, v), *parallel.cell(u, v));
     }
+}
+
+// The Euclidean fill runs the batched distance row (metric/distance_row.h)
+// and applies the signal in place; every entry must still be exactly the
+// per-entry expression, across multi-block rows with a ragged last block,
+// co-located and axis-aligned pairs (lanes the batch kernel hands to the
+// scalar path), and after moves.
+TEST(GainTable, EuclideanBatchFillMatchesPerEntryExpression) {
+  std::vector<Vec2> pts = test::random_points(45, 6.0, 607);
+  pts[9] = pts[3];            // co-located pair: distance 0
+  pts[20] = {pts[3].x, 1.0};  // shares x with node 3
+  pts[31] = {5.5, pts[3].y};  // shares y with node 3
+  EuclideanMetric metric(pts);
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8});
+  gains.bind(metric, pl);
+  ASSERT_TRUE(gains.enabled());
+  ASSERT_EQ(gains.blocks(), 6u);
+  ASSERT_EQ(gains.block_cols(5), 5u);  // ragged last block
+
+  const auto bits = [](double d) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &d, sizeof b);
+    return b;
+  };
+  std::vector<NodeId> all;
+  for (std::uint32_t u = 0; u < 45; ++u) all.emplace_back(u);
+  const auto check_all = [&](const char* when) {
+    ASSERT_TRUE(gains.ensure_rows(all, nullptr)) << when;
+    for (const NodeId u : all)
+      for (std::size_t b = 0; b < gains.blocks(); ++b) {
+        const double* row = gains.row_block(u, b);
+        ASSERT_NE(row, nullptr) << when;
+        for (std::size_t j = 0; j < gains.block_cols(b); ++j) {
+          const auto v = static_cast<std::uint32_t>(gains.block_begin(b) + j);
+          const std::uint64_t want =
+              v == u.value
+                  ? bits(0.0)
+                  : bits(pl.signal(metric.distance(u, NodeId(v))));
+          ASSERT_EQ(bits(row[j]), want)
+              << when << ": u=" << u.value << " v=" << v;
+        }
+      }
+  };
+  check_all("initial fill");
+
+  metric.set_position(NodeId(7), pts[40]);  // now co-located with node 40
+  metric.set_position(NodeId(44), {-2.0, 3.5});
+  check_all("after set_position");
+  EXPECT_GT(gains.stats().fills, 45u * 6u);  // moved rows/blocks refilled
 }
 
 TEST(GainTable, PipelineStaysExactBeyondLegacyNodeCliff) {
