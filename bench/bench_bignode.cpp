@@ -12,7 +12,9 @@
 //     gain table (bit-identical results; the delta is pure dispatch win).
 //  3. BM_Field{Exact,Far}/65536 — one exact brute-force field vs one
 //     ε-certified approximate field at 64k, same transmitter set: the
-//     kernel-level speedup behind claim 1.
+//     kernel-level speedup behind claim 1. BM_FieldFar also runs on a
+//     4-thread TaskPool (second argument); its before/after is recorded in
+//     bench/results/BENCH_far_field.json.
 //
 // Contention is held at T ≈ 768 expected transmitters per slot independent
 // of n (a fixed-probability protocol), matching the dense-instance regime
@@ -27,6 +29,7 @@
 
 #include "analysis/runner.h"
 #include "analysis/scenario.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "phy/far_field.h"
 #include "phy/gain_table.h"
@@ -139,9 +142,12 @@ void BM_FieldExact(benchmark::State& state) {
 BENCHMARK(BM_FieldExact)->Arg(65536)->Unit(benchmark::kMillisecond);
 
 // ... vs the ε-certified far-field approximation on the same instance and
-// transmitter set (ε = 0.25, cell ≈ 0.5).
+// transmitter set (ε = 0.25, cell ≈ 0.5). The second argument is the
+// thread count: 1 runs without a pool, more runs through a TaskPool of that
+// size (the far-64k workload runs 4).
 void BM_FieldFar(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
   Rng rng(13);
   EuclideanMetric metric(uniform_square(n, std::sqrt(n / 8.0), rng));
   const PathLoss pl(1.0, 3.0, 1e-3);
@@ -152,22 +158,29 @@ void BM_FieldFar(benchmark::State& state) {
     state.SkipWithError("infeasible far-field certificate");
     return;
   }
+  std::unique_ptr<TaskPool> pool;
+  if (threads > 1) pool = std::make_unique<TaskPool>(threads);
   FarFieldWorkspace workspace;
   std::vector<double> field;
-  if (!workspace.field_into(metric, pl, txs, *params, field, nullptr)) {
+  if (!workspace.field_into(metric, pl, txs, *params, field, pool.get())) {
     state.SkipWithError("layout defeated far-field aggregation");
     return;
   }
   for (auto _ : state) {
     const bool ok =
-        workspace.field_into(metric, pl, txs, *params, field, nullptr);
+        workspace.field_into(metric, pl, txs, *params, field, pool.get());
     benchmark::DoNotOptimize(ok);
     benchmark::DoNotOptimize(field.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * txs.size()));
 }
-BENCHMARK(BM_FieldFar)->Arg(65536)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FieldFar)
+    ->Args({65536, 1})
+    ->Args({65536, 4})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace udwn

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/contract.h"
+#include "metric/distance_row.h"
 
 namespace udwn {
 
@@ -14,6 +17,25 @@ namespace {
 // the approximation is supposed to save.
 constexpr double kMaxCellsFactor = 4.0;
 constexpr double kMinCells = 64.0;
+
+// Stable counting sort of items [0, count) by cell key(i) < ncells: `order`
+// lists the items by ascending key (ascending index within a key) and cell
+// c owns order[begin[c] .. begin[c + 1]). Counting into begin[key + 2] and
+// scattering through begin[key + 1] leaves exactly those starts behind, so
+// no separate cursor array is needed (begin has ncells + 2 entries).
+template <typename Key>
+void bucket_by_cell(std::size_t count, std::size_t ncells, Key key,
+                    std::vector<std::uint32_t>& begin,
+                    std::vector<std::uint32_t>& order) {
+  begin.assign(ncells + 2, 0);  // udwn-lint: allow(hot-path-alloc): per-slot
+                                // scratch, reuses capacity at steady state
+  for (std::size_t i = 0; i < count; ++i) ++begin[key(i) + 2];
+  for (std::size_t c = 2; c < ncells + 2; ++c) begin[c] += begin[c - 1];
+  order.resize(count);  // udwn-lint: allow(hot-path-alloc): per-slot
+                        // scratch, reuses capacity at steady state
+  for (std::size_t i = 0; i < count; ++i)
+    order[begin[key(i) + 1]++] = static_cast<std::uint32_t>(i);
+}
 
 }  // namespace
 
@@ -47,10 +69,21 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   const std::span<const Vec2> pts = metric.positions();
   const double cell = params.cell;
   const double rho = params.rho;
+  // far_field_params guarantees ρ > near limit > 0, so a cell is always
+  // near itself (d_cc = 0) and near_rows below is at least 1.
+  UDWN_EXPECT(rho > 0);
   if (n == 0) {
     field.clear();
     return true;
   }
+  const auto run = [pool](std::size_t end, auto&& body,
+                          std::size_t chunk_size = 0) {
+    if (pool != nullptr) {
+      pool->run_chunks(0, end, body, chunk_size);
+    } else {
+      body(std::size_t{0}, end);
+    }
+  };
 
   // Bounding box over all points (dead nodes included: they cost grid area,
   // not correctness — interference only ever sums over `transmitters`).
@@ -71,23 +104,42 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
     return false;
   const std::size_t ncells = ncx * ncy;
 
-  // Translation-invariant per-offset tables: the center-to-center distance
-  // (and its signal) depends only on the integer cell offset (|Δcx|, |Δcy|),
-  // so one libm pow per distinct offset covers every cell pair. Both the
-  // near predicate and the far aggregation below read the *same* table
-  // entry, so "near" is exactly the complement of "aggregated".
-  offset_dist_.resize(ncells);   // udwn-lint: allow(hot-path-alloc): per-slot
-                                 // scratch, reuses capacity at steady state
-  offset_signal_.resize(ncells); // udwn-lint: allow(hot-path-alloc): per-slot
-                                 // scratch, reuses capacity at steady state
-  for (std::size_t adx = 0; adx < ncx; ++adx)
-    for (std::size_t ady = 0; ady < ncy; ++ady) {
-      const double dx = static_cast<double>(adx) * cell;
-      const double dy = static_cast<double>(ady) * cell;
-      const double d = std::sqrt(dx * dx + dy * dy);
-      offset_dist_[adx * ncy + ady] = d;
-      offset_signal_[adx * ncy + ady] = pathloss.signal(d);
+  // Translation-invariant offset table: the center-to-center distance (and
+  // its signal) depends only on the integer cell offset (|Δcx|, |Δcy|), so
+  // one libm pow per distinct far offset covers every cell pair. Near
+  // offsets (d_cc < ρ) store +0.0: adding that to a partial sum >= +0.0 is
+  // exact, so the far aggregation below needs no branch. d_cc is
+  // non-decreasing in |Δcy| (every step — scale, square, add, sqrt — is
+  // monotone), so each row's near offsets are a prefix of width
+  // near_width_[|Δcx|], the exact complement of the aggregated offsets.
+  offset_signal_.resize(ncells);  // udwn-lint: allow(hot-path-alloc): per-slot
+                                  // scratch, reuses capacity at steady state
+  near_width_.resize(ncx);  // udwn-lint: allow(hot-path-alloc): per-slot
+                            // scratch, reuses capacity at steady state
+  run(ncx, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t adx = lo; adx < hi; ++adx) {
+      std::uint32_t width = 0;
+      for (std::size_t ady = 0; ady < ncy; ++ady) {
+        const double dx = static_cast<double>(adx) * cell;
+        const double dy = static_cast<double>(ady) * cell;
+        const double d = std::sqrt(dx * dx + dy * dy);
+        double sig = 0.0;
+        if (d < rho) {
+          UDWN_ASSERT(ady == width);  // near offsets form a prefix
+          ++width;
+        } else {
+          sig = pathloss.signal(d);
+        }
+        offset_signal_[adx * ncy + ady] = sig;
+      }
+      near_width_[adx] = width;
     }
+  });
+  // Offset rows with any near cell: near_width_ is non-increasing in |Δcx|
+  // (d_cc is non-decreasing in it too), so these are rows [0, near_rows),
+  // and near_width_[0] >= 1.
+  std::size_t near_rows = 0;
+  while (near_rows < ncx && near_width_[near_rows] > 0) ++near_rows;
 
   // Listener cell ids (parallel: chunks partition nodes, writes disjoint).
   listener_cell_.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot
@@ -99,144 +151,144 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
     cy = std::min(cy, ncy - 1);
     return static_cast<std::uint32_t>(cx * ncy + cy);
   };
-  auto cells_body = [&](std::size_t lo, std::size_t hi) {
+  run(n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) listener_cell_[v] = cell_of(pts[v]);
-  };
-  if (pool != nullptr) {
-    pool->run_chunks(0, n, cells_body);
-  } else {
-    cells_body(0, n);
-  }
+  });
 
-  // Bucket transmitters by cell, keeping slot order within a cell: sort by
-  // (cell key, slot index) — a deterministic total order independent of
-  // thread count and of the transmitters' positions in memory.
+  // Group listeners by cell, and transmitters by cell in slot order — the
+  // (cell key, slot) order the near terms accumulate in, independent of
+  // thread count and of where the transmitters sit in memory.
+  bucket_by_cell(
+      n, ncells, [&](std::size_t v) { return listener_cell_[v]; },
+      cell_begin_, cell_nodes_);
   const std::size_t count = transmitters.size();
-  tx_sorted_.resize(count);  // udwn-lint: allow(hot-path-alloc): per-slot
-                             // scratch, reuses capacity at steady state
-  for (std::size_t i = 0; i < count; ++i) {
-    UDWN_ASSERT(transmitters[i].value < n);
-    tx_sorted_[i] = {listener_cell_[transmitters[i].value],
-                     static_cast<std::uint32_t>(i)};
+  bucket_by_cell(
+      count, ncells,
+      [&](std::size_t i) {
+        UDWN_ASSERT(transmitters[i].value < n);
+        return listener_cell_[transmitters[i].value];
+      },
+      tx_begin_, tx_order_);
+  tx_pos_.resize(count);  // udwn-lint: allow(hot-path-alloc): per-slot
+                          // scratch, reuses capacity at steady state
+  for (std::size_t m = 0; m < count; ++m)
+    tx_pos_[m] = pts[transmitters[tx_order_[m]].value];
+
+  // Distinct transmitter cells in ascending key, with grid coordinates and
+  // count decoded once per slot (keeps 64-bit divisions out of the loops).
+  txc_pos_.clear();
+  for (std::size_t c = 0; c < ncells; ++c) {
+    const std::uint32_t in_cell = tx_begin_[c + 1] - tx_begin_[c];
+    if (in_cell == 0) continue;
+    txc_pos_.push_back(  // udwn-lint: allow(hot-path-alloc): per-slot
+                         // scratch, reuses capacity at steady state
+        {.cx = c / ncy, .cy = c % ncy, .count = static_cast<double>(in_cell)});
   }
-  std::sort(tx_sorted_.begin(), tx_sorted_.end());
 
-  // Distinct transmitter cells as a CSR over tx_sorted_.
-  txc_cell_.clear();
-  txc_begin_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i == 0 || tx_sorted_[i].first != tx_sorted_[i - 1].first) {
-      txc_cell_.push_back(   // udwn-lint: allow(hot-path-alloc): per-slot
-          static_cast<std::uint32_t>(tx_sorted_[i].first));
-      txc_begin_.push_back(  // udwn-lint: allow(hot-path-alloc): per-slot
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  txc_begin_.push_back(      // udwn-lint: allow(hot-path-alloc): per-slot
-      static_cast<std::uint32_t>(count));
-  const std::size_t tx_cells = txc_cell_.size();
-
-  // Near lists: for each transmitter cell, append it to every listener cell
-  // within ρ of its center (a bounded window scan). Two passes build a CSR
-  // without growth; order is (transmitter cell ascending) per listener
-  // cell, so the exact near sweep below is deterministic.
-  near_count_.assign(ncells, 0);  // udwn-lint: allow(hot-path-alloc): scratch
-  const std::size_t kr =
-      static_cast<std::size_t>(std::ceil(rho / cell)) + 1;
-  const auto for_each_near_cell = [&](std::size_t t, auto&& fn) {
-    const std::size_t tcx = txc_cell_[t] / ncy;
-    const std::size_t tcy = txc_cell_[t] % ncy;
-    const std::size_t cx_lo = tcx > kr ? tcx - kr : 0;
-    const std::size_t cx_hi = std::min(ncx - 1, tcx + kr);
-    const std::size_t cy_lo = tcy > kr ? tcy - kr : 0;
-    const std::size_t cy_hi = std::min(ncy - 1, tcy + kr);
-    for (std::size_t cx = cx_lo; cx <= cx_hi; ++cx) {
-      const std::size_t adx = cx > tcx ? cx - tcx : tcx - cx;
-      for (std::size_t cy = cy_lo; cy <= cy_hi; ++cy) {
-        const std::size_t ady = cy > tcy ? cy - tcy : tcy - cy;
-        if (offset_dist_[adx * ncy + ady] < rho) fn(cx * ncy + cy);
-      }
-    }
-  };
-  for (std::size_t t = 0; t < tx_cells; ++t)
-    for_each_near_cell(t, [&](std::size_t c) { ++near_count_[c]; });
-  near_begin_.resize(ncells + 1);  // udwn-lint: allow(hot-path-alloc): scratch
-  near_begin_[0] = 0;
-  for (std::size_t c = 0; c < ncells; ++c)
-    near_begin_[c + 1] = near_begin_[c] + near_count_[c];
-  const std::size_t near_total = near_begin_[ncells];
-  near_idx_.resize(near_total);  // udwn-lint: allow(hot-path-alloc): scratch
-  std::fill(near_count_.begin(), near_count_.end(), 0);
-  for (std::size_t t = 0; t < tx_cells; ++t)
-    for_each_near_cell(t, [&](std::size_t c) {
-      near_idx_[near_begin_[c] + near_count_[c]++] =
-          static_cast<std::uint32_t>(t);
-    });
-
-  // Far aggregation per listener cell: every transmitter cell at center
-  // distance >= ρ contributes count · signal(d_cc). Cells partition the
-  // work; each cell's sum accumulates in transmitter-cell order, so the
+  // Far aggregation, transmitter-major: chunks own bands of listener grid
+  // rows; for every transmitter cell in ascending key order each row adds
+  // count · signal(d_cc) as two contiguous strips — listeners below the
+  // transmitter's cy read the offset row mirrored, the rest forward. Each
+  // cell's sum still runs over transmitter cells in ascending key, so the
   // result is thread-count independent.
-  // Decode each transmitter cell's grid coordinates and count once per
-  // slot rather than once per (cell, tx-cell) pair, which takes two 64-bit
-  // divisions out of the inner loop.
-  txc_pos_.resize(tx_cells);  // udwn-lint: allow(hot-path-alloc): per-slot
-                              // scratch, reuses capacity at steady state
-  for (std::size_t t = 0; t < tx_cells; ++t)
-    txc_pos_[t] = {.cx = txc_cell_[t] / ncy,
-                   .cy = txc_cell_[t] % ncy,
-                   .count = static_cast<double>(txc_begin_[t + 1] -
-                                                txc_begin_[t])};
   far_sum_.resize(ncells);  // udwn-lint: allow(hot-path-alloc): per-slot
                             // scratch, reuses capacity at steady state
-  auto far_body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const std::size_t ccx = c / ncy;
-      const std::size_t ccy = c % ncy;
-      double acc = 0;
-      for (const TxCell& tc : txc_pos_) {
+  run(ncx, [&](std::size_t lo, std::size_t hi) {
+    std::fill(far_sum_.begin() + static_cast<std::ptrdiff_t>(lo * ncy),
+              far_sum_.begin() + static_cast<std::ptrdiff_t>(hi * ncy), 0.0);
+    for (const TxCell& tc : txc_pos_) {
+      const double weight = tc.count;
+      const std::size_t ty = tc.cy;
+      for (std::size_t ccx = lo; ccx < hi; ++ccx) {
         const std::size_t adx = ccx > tc.cx ? ccx - tc.cx : tc.cx - ccx;
-        const std::size_t ady = ccy > tc.cy ? ccy - tc.cy : tc.cy - ccy;
-        const std::size_t off = adx * ncy + ady;
-        if (offset_dist_[off] < rho) continue;  // exact near sweep covers it
-        acc += tc.count * offset_signal_[off];
+        const double* sig = offset_signal_.data() + adx * ncy;
+        double* dst = far_sum_.data() + ccx * ncy;
+        for (std::size_t cy = 0; cy < ty; ++cy)
+          dst[cy] += weight * sig[ty - cy];
+        for (std::size_t cy = ty; cy < ncy; ++cy)
+          dst[cy] += weight * sig[cy - ty];
       }
-      far_sum_[c] = acc;
     }
-  };
-  if (pool != nullptr) {
-    pool->run_chunks(0, ncells, far_body);
-  } else {
-    far_body(0, ncells);
-  }
+  });
 
-  // Finalize per listener: aggregated far signal plus the exact sum over
-  // every transmitter in a near cell (self excluded — a transmitter's own
-  // cell is always near, d_cc = 0). Listeners partition the work; each
-  // listener's sum runs in (near cell, slot order) — deterministic.
+  // Exact near sweep over listeners grouped by cell. Chunks partition the
+  // cell-grouped listener order; per listener cell, a chunk gathers the
+  // transmitters of every near cell once, in (ascending cell key, slot)
+  // order: per grid row within near_rows of the listener, the near cells
+  // are the contiguous key range |Δcy| < near_width_[|Δcx|]. Each listener
+  // then takes one batched distance row — distance(pts[v], p) equals
+  // distance(p, pts[v]) bit for bit, exact_hypot takes absolute values —
+  // and adds the exact near terms to its cell's far sum, self excluded (a
+  // transmitter's own cell is always near, d_cc = 0).
+  const std::size_t chunks =
+      pool != nullptr ? static_cast<std::size_t>(pool->threads()) : 1;
+  const std::size_t chunk_len = (n + chunks - 1) / chunks;
+  if (near_scratch_.size() < chunks)
+    near_scratch_.resize(chunks);  // udwn-lint: allow(hot-path-alloc): warm-
+                                   // up sizing, one entry per pool thread
+  for (std::size_t k = 0; k < chunks; ++k) {
+    NearScratch& s = near_scratch_[k];
+    s.pos.resize(count);   // udwn-lint: allow(hot-path-alloc): per-slot
+                           // scratch, reuses capacity at steady state
+    s.dist.resize(count);  // udwn-lint: allow(hot-path-alloc): per-slot
+                           // scratch, reuses capacity at steady state
+  }
   field.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot output,
                     // reuses capacity at steady state
-  auto finalize_body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      const std::size_t c = listener_cell_[v];
-      double acc = far_sum_[c];
-      for (std::uint32_t k = near_begin_[c]; k < near_begin_[c + 1]; ++k) {
-        const std::uint32_t t = near_idx_[k];
-        for (std::uint32_t m = txc_begin_[t]; m < txc_begin_[t + 1]; ++m) {
-          const NodeId u = transmitters[tx_sorted_[m].second];
-          if (u.value == v) continue;
-          // metric.distance(u, v) for u != v, without the virtual call.
-          acc += pathloss.signal(distance(pts[u.value], pts[v]));
-        }
-      }
-      field[v] = acc;
+  // Gathers cell c's near transmitters into s.pos and returns their count;
+  // `own` receives the gathered range of c's own transmitters (the only
+  // place the listener itself can appear).
+  const auto gather_near = [&](std::size_t c, NearScratch& s,
+                               std::size_t& own) {
+    const std::size_t ccx = c / ncy;
+    const std::size_t ccy = c % ncy;
+    const std::size_t reach = near_rows - 1;
+    const std::size_t cx_lo = ccx > reach ? ccx - reach : 0;
+    const std::size_t cx_hi = std::min(ncx - 1, ccx + reach);
+    std::size_t k = 0;
+    for (std::size_t tcx = cx_lo; tcx <= cx_hi; ++tcx) {
+      const std::size_t adx = tcx > ccx ? tcx - ccx : ccx - tcx;
+      const std::size_t half = near_width_[adx] - 1;  // >= 0: adx < near_rows
+      const std::size_t cy_lo = ccy > half ? ccy - half : 0;
+      const std::size_t cy_hi = std::min(ncy - 1, ccy + half);
+      const std::uint32_t m_lo = tx_begin_[tcx * ncy + cy_lo];
+      const std::uint32_t m_hi = tx_begin_[tcx * ncy + cy_hi + 1];
+      if (tcx == ccx) own = k + (tx_begin_[c] - m_lo);
+      for (std::uint32_t m = m_lo; m < m_hi; ++m) s.pos[k++] = tx_pos_[m];
     }
+    return k;
   };
-  if (pool != nullptr) {
-    pool->run_chunks(0, n, finalize_body);
-  } else {
-    finalize_body(0, n);
-  }
+  run(
+      n,
+      [&](std::size_t lo, std::size_t hi) {
+        NearScratch& s = near_scratch_[lo / chunk_len];
+        std::size_t gathered_cell = ncells;  // none yet
+        std::size_t near = 0;
+        std::size_t own = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::uint32_t v = cell_nodes_[i];
+          const std::size_t c = listener_cell_[v];
+          if (c != gathered_cell) {
+            near = gather_near(c, s, own);
+            gathered_cell = c;
+          }
+          // Self exclusion: v transmits iff it is among its own cell's
+          // transmitters; `skip` is its gathered index (or near if absent).
+          std::size_t skip = near;
+          for (std::uint32_t m = tx_begin_[c]; m < tx_begin_[c + 1]; ++m)
+            if (transmitters[tx_order_[m]].value == v)
+              skip = own + (m - tx_begin_[c]);
+          distance_row(pts[v], std::span<const Vec2>(s.pos.data(), near),
+                       s.dist.data());
+          double acc = far_sum_[c];
+          for (std::size_t k = 0; k < skip; ++k)
+            acc += pathloss.signal(s.dist[k]);
+          for (std::size_t k = skip + 1; k < near; ++k)
+            acc += pathloss.signal(s.dist[k]);
+          field[v] = acc;
+        }
+      },
+      chunk_len);
   return true;
 }
 

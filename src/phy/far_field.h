@@ -30,18 +30,30 @@
 // both d_cc and d(u,v) are guaranteed to be on the pure power-law branch.
 //
 // Cost: per slot, one pass bucketing the |S| transmitters into cells, a
-// cells × tx-cells aggregation whose signal factors come from a
-// translation-invariant (Δx, Δy) lookup table (one pow per distinct cell
-// offset, not per pair), and an exact near sweep whose per-listener work is
-// bounded by the O(ρ²·density) transmitters nearby — independent of n. The
-// O(|S|·n) pairwise wall disappears.
+// far aggregation whose signal factors come from a translation-invariant
+// (|Δx|, |Δy|) offset table (one pow per distinct far cell offset, not per
+// pair), and an exact near sweep whose per-listener work is bounded by the
+// O(ρ²·density) transmitters nearby — independent of n. The O(|S|·n)
+// pairwise wall disappears.
+//   * The far aggregation is transmitter-major: each grid row of listener
+//     cells adds count · signal(d_cc) for every transmitter cell as two
+//     contiguous, branch-free strips (the offset table stores +0.0 on near
+//     offsets, so near cell pairs add an exact zero), which the compiler
+//     vectorises.
+//   * The near sweep groups listeners by cell. Per cell it gathers the
+//     positions of every transmitter in a near cell once — the near cells
+//     of offset row |Δx| are exactly |Δy| < w[|Δx|], so per grid row they
+//     are one contiguous key range — and then evaluates one batched
+//     distance row (metric/distance_row.h) per listener.
 //
 // Determinism: the result is a pure function of (positions, transmitters,
-// params). Cells are walked in row-major key order, near lists are built
-// serially in (cell, transmitter-slot) order, and parallel phases partition
-// listeners/cells without ever splitting one accumulation — so any thread
-// count produces bit-identical fields (the determinism audit checks
-// far-field rows for exactly this self-determinism; the approximation is
+// params). Every listener's field accumulates in one fixed order: the far
+// terms over transmitter cells in ascending key, then the exact near terms
+// in (ascending transmitter-cell key, slot) order. Parallel phases split
+// grid rows or listeners, never one accumulation, so any thread count
+// produces bit-identical fields (the determinism audit checks far-field
+// rows for exactly this self-determinism, tests/test_far_field.cpp against
+// a plain O(n·|S|) evaluation of that definition; the approximation is
 // *not* bit-identical to the exact kernels, only ε-certified against them).
 #pragma once
 
@@ -83,7 +95,8 @@ class FarFieldWorkspace {
   /// Approximate interference field into `field` (resized to metric.size();
   /// every entry written). Returns false — leaving `field` untouched — when
   /// the instance layout defeats aggregation (cell grid would outnumber
-  /// nodes by too much); the caller then runs an exact kernel.
+  /// nodes by too much); the caller then runs an exact kernel. `params`
+  /// must come from far_field_params (ρ > 0 is contract-checked).
   UDWN_HOT bool field_into(const EuclideanMetric& metric,
                            const PathLoss& pathloss,
                            std::span<const NodeId> transmitters,
@@ -93,28 +106,39 @@ class FarFieldWorkspace {
  private:
   // Listener cell index per node.
   std::vector<std::uint32_t> listener_cell_;
-  // Transmitters sorted by (cell key, slot order): first = cell key,
-  // second = index into the slot's transmitter span.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> tx_sorted_;
-  // Distinct transmitter cells (CSR over tx_sorted_).
-  std::vector<std::uint32_t> txc_cell_;
-  std::vector<std::uint32_t> txc_begin_;  // size txc_cell_.size() + 1
-  // Per distinct transmitter cell: grid coordinates and transmitter count,
-  // decoded once per slot for the far aggregation loop.
+  // Listeners grouped by cell (ascending node id within a cell): cell c
+  // owns cell_nodes_[cell_begin_[c] .. cell_begin_[c + 1]).
+  std::vector<std::uint32_t> cell_begin_;  // size ncells + 2
+  std::vector<std::uint32_t> cell_nodes_;
+  // Transmitters grouped by cell in slot order, the order near terms
+  // accumulate in: cell c owns entries [tx_begin_[c], tx_begin_[c + 1]) of
+  // tx_order_ (indices into the slot's transmitter span) and of tx_pos_
+  // (their positions).
+  std::vector<std::uint32_t> tx_begin_;  // size ncells + 2
+  std::vector<std::uint32_t> tx_order_;
+  std::vector<Vec2> tx_pos_;
+  // Distinct transmitter cells in ascending key: grid coordinates and
+  // transmitter count.
   struct TxCell {
     std::size_t cx = 0;
     std::size_t cy = 0;
     double count = 0;
   };
   std::vector<TxCell> txc_pos_;
-  // Translation-invariant per-offset tables: index |Δcx| * ncy + |Δcy|.
-  std::vector<double> offset_dist_;
+  // Translation-invariant signal table, index |Δcx| * ncy + |Δcy|: the
+  // center-to-center signal on far offsets, +0.0 on near ones (d_cc < ρ).
   std::vector<double> offset_signal_;
-  // Per-cell aggregated far signal and exact-near CSR (tx-cell indices).
+  // Near prefix width per |Δcx|: offset (|Δcx|, |Δcy|) is near exactly when
+  // |Δcy| < near_width_[|Δcx|] (d_cc is non-decreasing in |Δcy|).
+  std::vector<std::uint32_t> near_width_;
+  // Per-cell aggregated far signal.
   std::vector<double> far_sum_;
-  std::vector<std::uint32_t> near_count_;
-  std::vector<std::uint32_t> near_begin_;  // size ncells + 1
-  std::vector<std::uint32_t> near_idx_;
+  // Per-chunk gather buffers of the near sweep, |S| entries each.
+  struct NearScratch {
+    std::vector<Vec2> pos;
+    std::vector<double> dist;
+  };
+  std::vector<NearScratch> near_scratch_;
 };
 
 }  // namespace udwn

@@ -106,6 +106,40 @@ INSTANTIATE_TEST_SUITE_P(Threads, SteadyStateAllocation,
                                   std::to_string(info.param);
                          });
 
+class FarFieldSteadyStateAllocation : public ::testing::TestWithParam<int> {};
+
+TEST_P(FarFieldSteadyStateAllocation, SlotPerformsNoHeapAllocation) {
+  // The ε-certified far field (cell factor 0.25 puts ρ well inside the
+  // 7×7 extent, so aggregation and the near sweep both run) keeps per-slot
+  // and per-chunk scratch in its workspace: once warm, rounds whose
+  // transmitter count swings from slot to slot must not touch the heap.
+  Scenario scenario(test::random_points(400, 7.0, 8106),
+                    test::default_config());
+  auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
+    return std::make_unique<FixedProbabilityProtocol>(0.25);
+  });
+  const CarrierSensing sensing = scenario.sensing_local();
+  Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
+                EngineConfig{.slots_per_round = 2,
+                             .seed = 43,
+                             .threads = GetParam(),
+                             .far_field_eps = 0.4,
+                             .far_field_cell_factor = 0.25});
+
+  for (int r = 0; r < 25; ++r) engine.step();
+
+  EXPECT_EQ(allocations_during_rounds(engine, 10), 0)
+      << "far-field steady-state rounds must not allocate (threads="
+      << GetParam() << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, FarFieldSteadyStateAllocation,
+                         ::testing::Values(1, 3),
+                         [](const auto& info) {
+                           return "threads" +
+                                  std::to_string(info.param);
+                         });
+
 TEST(SteadyStateAllocation, UncachedPipelineAlsoSettles) {
   // Even with the topology cache off, the workspace buffers make the slot
   // allocation-free once warm (the brute-force sweeps write into reused

@@ -4,12 +4,16 @@
 // epochs, and every thread count; the approximate field itself must be
 // self-deterministic (bitwise) across thread counts. Parameter derivation
 // edge cases (infeasible ε, near-limit clamp, ζ < 1) must refuse with
-// nullopt so the pipeline falls back to the exact kernels.
+// nullopt so the pipeline falls back to the exact kernels. The field must
+// also equal a plain O(n·|S|) evaluation of the approximation's definition
+// bit for bit.
 #include "phy/far_field.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -138,6 +142,166 @@ TEST(FarField, BitwiseSelfDeterministicAcrossThreadCounts) {
   std::vector<double> repeat;
   ASSERT_TRUE(serial_ws.field_into(metric, pl, txs, *params, repeat, nullptr));
   for (std::size_t v = 0; v < n; ++v) EXPECT_EQ(serial[v], repeat[v]);
+}
+
+// Plain O(n·|S|) evaluation of the approximation's definition
+// (phy/far_field.h), independent of the library's data structures: the
+// bounding-box cell grid of side S, then per listener the far terms
+// count · signal(d_cc) over transmitter cells with d_cc >= ρ in ascending
+// cell key, then the exact near terms in (cell key, slot) order, self
+// excluded. `far_terms` counts the aggregated (listener, cell) terms so a
+// caller can check the far path actually fired.
+std::vector<double> reference_far_field(const std::vector<Vec2>& pts,
+                                        const PathLoss& pl,
+                                        const std::vector<NodeId>& txs,
+                                        const FarFieldParams& params,
+                                        std::size_t* far_terms) {
+  const double cell = params.cell;
+  double x0 = pts[0].x, x1 = pts[0].x, y0 = pts[0].y, y1 = pts[0].y;
+  for (const Vec2 p : pts) {
+    x0 = std::min(x0, p.x);
+    x1 = std::max(x1, p.x);
+    y0 = std::min(y0, p.y);
+    y1 = std::max(y1, p.y);
+  }
+  const auto ncx = static_cast<std::size_t>((x1 - x0) / cell) + 1;
+  const auto ncy = static_cast<std::size_t>((y1 - y0) / cell) + 1;
+  const auto cell_of = [&](Vec2 p) {
+    const auto cx = static_cast<std::size_t>((p.x - x0) / cell);
+    const auto cy = static_cast<std::size_t>((p.y - y0) / cell);
+    return std::min(cx, ncx - 1) * ncy + std::min(cy, ncy - 1);
+  };
+  // Cell key -> transmitters in slot order (std::map iterates ascending).
+  std::map<std::size_t, std::vector<std::uint32_t>> by_cell;
+  for (const NodeId u : txs) by_cell[cell_of(pts[u.value])].push_back(u.value);
+
+  const auto center_distance = [&](std::size_t a, std::size_t b) {
+    const std::size_t ax = a / ncy, ay = a % ncy, bx = b / ncy, by = b % ncy;
+    const double dx = static_cast<double>(ax > bx ? ax - bx : bx - ax) * cell;
+    const double dy = static_cast<double>(ay > by ? ay - by : by - ay) * cell;
+    return std::sqrt(dx * dx + dy * dy);
+  };
+  std::vector<double> field(pts.size());
+  *far_terms = 0;
+  for (std::uint32_t v = 0; v < pts.size(); ++v) {
+    const std::size_t c = cell_of(pts[v]);
+    double acc = 0;
+    for (const auto& [key, members] : by_cell) {
+      const double d = center_distance(c, key);
+      if (d < params.rho) continue;
+      acc += static_cast<double>(members.size()) * pl.signal(d);
+      ++*far_terms;
+    }
+    for (const auto& [key, members] : by_cell) {
+      if (center_distance(c, key) >= params.rho) continue;
+      for (const std::uint32_t u : members)
+        if (u != v) acc += pl.signal(distance(pts[u], pts[v]));
+    }
+    field[v] = acc;
+  }
+  return field;
+}
+
+// Clustered layout: `clusters` tight blobs, so most occupied cells hold
+// several transmitters.
+std::vector<Vec2> clustered_points(std::size_t n, double extent,
+                                   std::size_t clusters, double spread,
+                                   std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec2> centers;
+  for (std::size_t k = 0; k < clusters; ++k)
+    centers.push_back({rng.uniform(0, extent), rng.uniform(0, extent)});
+  std::vector<Vec2> pts;
+  for (std::size_t v = 0; v < n; ++v) {
+    const Vec2 c = centers[v % clusters];
+    pts.push_back({c.x + rng.uniform(-spread, spread),
+                   c.y + rng.uniform(-spread, spread)});
+  }
+  return pts;
+}
+
+TEST(FarField, MatchesDefinitionBitForBit) {
+  // ρ ≈ 2.9 at ζ = 3 and ≈ 2.3 at ζ = 2.5 with S = 0.3: well inside every
+  // layout below, so both the aggregation and the near sweep carry terms.
+  struct Case {
+    const char* label;
+    std::vector<Vec2> pts;
+    PathLoss pl;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"uniform", test::random_points(900, 10.5, 9800),
+                   PathLoss(1.0, 3.0, 1e-3)});
+  cases.push_back({"clustered", clustered_points(700, 11.0, 9, 0.4, 9801),
+                   PathLoss(1.0, 3.0, 1e-3)});
+  {
+    // Extent an exact multiple of S: the nodes on x = 7.2 and y = 7.2 sit
+    // alone in the last grid row and column.
+    std::vector<Vec2> pts = test::random_points(500, 7.2, 9802);
+    for (int k = 0; k <= 24; ++k) {
+      const double t = 0.3 * k;
+      pts.push_back({7.2, t});
+      pts.push_back({t, 7.2});
+    }
+    cases.push_back({"clamped edges", std::move(pts),
+                     PathLoss(1.0, 3.0, 1e-3)});
+  }
+  {
+    // ncx != ncy: a 14 × 4 strip.
+    Rng rng(9803);
+    std::vector<Vec2> pts;
+    for (int v = 0; v < 600; ++v)
+      pts.push_back({rng.uniform(0, 14.0), rng.uniform(0, 4.0)});
+    cases.push_back({"strip", std::move(pts), PathLoss(1.0, 3.0, 1e-3)});
+  }
+  cases.push_back({"power-scaled", test::random_points(800, 10.0, 9804),
+                   PathLoss(0.04, 2.5, 1e-3)});
+
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.label);
+    const auto params = far_field_params(0.5, 0.3, tc.pl);
+    ASSERT_TRUE(params.has_value());
+    const EuclideanMetric metric(tc.pts);
+    Rng rng(41);
+    const auto txs = sample_ids(tc.pts.size(), 0.3, rng);
+    std::size_t far_terms = 0;
+    const std::vector<double> want =
+        reference_far_field(tc.pts, tc.pl, txs, *params, &far_terms);
+    EXPECT_GT(far_terms, tc.pts.size());  // the aggregation really fires
+    for (const int threads : {1, 2, 3, 5}) {
+      TaskPool pool(threads);
+      FarFieldWorkspace ws;
+      std::vector<double> got;
+      ASSERT_TRUE(ws.field_into(metric, tc.pl, txs, *params, got,
+                                threads == 1 ? nullptr : &pool));
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t v = 0; v < want.size(); ++v)
+        EXPECT_EQ(got[v], want[v])  // bitwise, not NEAR
+            << "threads=" << threads << " node " << v;
+    }
+  }
+
+  // One workspace reused while the instance grows, then shrinks: stale
+  // scratch from a larger slot must not leak into a smaller one.
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  const auto params = far_field_params(0.5, 0.3, pl);
+  ASSERT_TRUE(params.has_value());
+  TaskPool pool(3);
+  FarFieldWorkspace ws;
+  for (const std::size_t n : {std::size_t{300}, std::size_t{1500},
+                              std::size_t{200}}) {
+    const auto pts = test::random_points(
+        n, std::sqrt(static_cast<double>(n) / 8.0), 9900 + n);
+    const EuclideanMetric metric(pts);
+    Rng rng(43 + n);
+    const auto txs = sample_ids(n, 0.3, rng);
+    std::size_t far_terms = 0;
+    const auto want = reference_far_field(pts, pl, txs, *params, &far_terms);
+    std::vector<double> got;
+    ASSERT_TRUE(ws.field_into(metric, pl, txs, *params, got, &pool));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t v = 0; v < n; ++v)
+      EXPECT_EQ(got[v], want[v]) << "n=" << n << " node " << v;
+  }
 }
 
 TEST(FarField, PipelineFieldCertifiedUnderChurnAndMobility) {
