@@ -484,25 +484,30 @@ const SlotOutcome& Channel::resolve_into(
     }
     out.mass_delivered[u.value] = static_cast<std::uint8_t>(all);
 
-    bool clear;
-    if (grid != nullptr && guard > 0) {
-      // Grid-pruned guard zone, then the same exact predicate as
-      // ReceptionModel::clear_channel: any *other* transmitter strictly
-      // inside D(u, ρ_c·R) spoils the channel. Transmitters outside the
-      // (inflated) ball are provably outside the guard zone.
-      clear = true;
+    // ReceptionModel::clear_channel from the hoisted SuccClear params (the
+    // model call would re-derive them — two libm pows for SINR — per
+    // transmitter): any *other* transmitter strictly inside D(u, ρ_c·R)
+    // spoils the channel, and so does interference above I_c.
+    bool clear = true;
+    if (guard > 0 && grid != nullptr) {
+      // Grid-pruned guard zone: transmitters outside the (inflated) ball
+      // are provably outside the guard zone.
       grid->for_each_within(
           ws.cache_.euclidean()->position(u),
           guard * kGridInflation, [&](NodeId w) {
             if (w == u || !ws.is_tx_[w.value]) return;
             if (metric_->distance(w, u) < guard) clear = false;
           });
-      if (clear && params.i_c < std::numeric_limits<double>::infinity() &&
-          out.interference[u.value] > params.i_c)
-        clear = false;
-    } else {
-      clear = model_->clear_channel(u, view, epsilon_);
+    } else if (guard > 0) {
+      for (NodeId w : transmitters)
+        if (w != u && metric_->distance(w, u) < guard) {
+          clear = false;
+          break;
+        }
     }
+    if (clear && params.i_c < std::numeric_limits<double>::infinity() &&
+        out.interference[u.value] > params.i_c)
+      clear = false;
     out.clear[u.value] = static_cast<std::uint8_t>(clear);
   }
 

@@ -77,6 +77,9 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   tile_stamp_.assign(n_ * blocks_, 0);
   // Sized here, at bind time; steady-state apply_delta only std::fills it.
   block_dirty_.assign(blocks_, 0);  // udwn-lint: allow(hot-path-alloc): bind
+  moved_at_.assign(n_, 0);  // udwn-lint: allow(hot-path-alloc): bind
+  cover_from_ = metric.version();
+  cover_to_ = cover_from_;
   slot_tile_.reserve(max_tiles_);
   lru_prev_.reserve(max_tiles_);
   lru_next_.reserve(max_tiles_);
@@ -154,12 +157,45 @@ void GainTable::fill_tile(std::size_t tile) {
   if (u >= begin && u < begin + count) dst[u - begin] = 0.0;
 }
 
+void GainTable::patch_tile(std::size_t tile, std::uint64_t base) {
+  const std::size_t u = tile / blocks_;
+  const std::size_t b = tile - u * blocks_;
+  const std::size_t begin = block_begin(b);
+  const std::size_t count = block_cols(b);
+  double* dst = storage_.data() +
+                static_cast<std::size_t>(tile_slot_[tile]) * stride_;
+  // The tile holds the exact gains at version `base`; since then only the
+  // columns of nodes that moved have changed. The row's own node has not
+  // moved (plan_rows checks), so the +0.0 diagonal is never rewritten.
+  // distance() is bit-identical to the batched distance_row of fill_tile.
+  UDWN_ASSERT(moved_at_[u] <= base);
+  const std::uint64_t* moved = moved_at_.data() + begin;
+  const NodeId id(static_cast<std::uint32_t>(u));
+  for (std::size_t j = 0; j < count; ++j)
+    if (moved[j] > base)
+      dst[j] = pathloss_->signal(metric_->distance(
+          id, NodeId(static_cast<std::uint32_t>(begin + j))));
+}
+
+void GainTable::fill_planned_tile(const PlannedTile& planned) {
+  if (planned.base == kFullFill) {
+    fill_tile(planned.tile);
+  } else {
+    patch_tile(planned.tile, planned.base);
+  }
+}
+
 bool GainTable::plan_rows(std::span<const NodeId> sources) {
   fill_tiles_.clear();
   if (!enabled_) return false;
   if (sources.empty()) return true;
   UDWN_ASSERT(metric_ != nullptr && pathloss_ != nullptr);
-  const std::uint64_t fresh = metric_->version() + 1;
+  const std::uint64_t version = metric_->version();
+  const std::uint64_t fresh = version + 1;
+  // Stale tiles are patchable only while the recorded moves reach the
+  // current version (no move since the last apply_delta).
+  const bool covered = cover_to_ == version;
+  std::uint64_t patches = 0;
   ++pass_;
   for (const NodeId u : sources) {
     UDWN_ASSERT(u.value < n_);
@@ -172,7 +208,7 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
         if (slot == kInvalid) {
           // Over budget: roll back the freshness claims of tiles queued but
           // not yet filled, then report failure so the caller recomputes.
-          for (const std::size_t t : fill_tiles_) tile_stamp_[t] = 0;
+          for (const PlannedTile& p : fill_tiles_) tile_stamp_[p.tile] = 0;
           ++stats_.fallbacks;
           return false;
         }
@@ -184,23 +220,33 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
       }
       pin_pass_[slot] = pass_;
       lru_touch(slot);
-      if (tile_stamp_[tile] != fresh) {
+      const std::uint64_t stamp = tile_stamp_[tile];
+      if (stamp != fresh) {
         // Stamp now, fill later (ensure_rows or the caller's fill_planned
         // shards): sources may repeat across calls but tiles enter the fill
-        // list exactly once, keeping parallel fills disjoint.
+        // list exactly once, keeping parallel fills disjoint. A resident
+        // tile exact at a covered version V whose row has not moved since
+        // only needs the columns that moved after V.
+        std::uint64_t base = kFullFill;
+        if (covered && stamp != 0 && stamp - 1 >= cover_from_ &&
+            moved_at_[u.value] <= stamp - 1) {
+          base = stamp - 1;
+          ++patches;
+        }
         tile_stamp_[tile] = fresh;
-        fill_tiles_.push_back(tile);
+        fill_tiles_.push_back({tile, base});
       }
     }
   }
-  stats_.fills += fill_tiles_.size();
+  stats_.patches += patches;
+  stats_.fills += fill_tiles_.size() - patches;
   return true;
 }
 
 void GainTable::fill_planned(std::size_t block_lo, std::size_t block_hi) {
-  for (const std::size_t tile : fill_tiles_) {
-    const std::size_t b = tile % blocks_;
-    if (b >= block_lo && b < block_hi) fill_tile(tile);
+  for (const PlannedTile& planned : fill_tiles_) {
+    const std::size_t b = planned.tile % blocks_;
+    if (b >= block_lo && b < block_hi) fill_planned_tile(planned);
   }
 }
 
@@ -214,10 +260,10 @@ bool GainTable::ensure_rows(std::span<const NodeId> sources, TaskPool* pool) {
     pool->run_chunks(0, fill_tiles_.size(),
                      [&](std::size_t lo, std::size_t hi) {
                        for (std::size_t i = lo; i < hi; ++i)
-                         fill_tile(fill_tiles_[i]);
+                         fill_planned_tile(fill_tiles_[i]);
                      });
   } else {
-    for (const std::size_t tile : fill_tiles_) fill_tile(tile);
+    for (const PlannedTile& planned : fill_tiles_) fill_planned_tile(planned);
   }
   return true;
 }
@@ -227,11 +273,17 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
                             std::uint64_t new_version) {
   if (!enabled_ || prev_version == new_version) return;
   UDWN_EXPECT(prev_version < new_version);
+  // Coverage window: contiguous deltas extend it; a gap means moves went
+  // unrecorded, so only tiles exact at new_version or later can be
+  // patched from here on.
+  if (prev_version != cover_to_) cover_from_ = new_version;
+  cover_to_ = new_version;
   // Per-block dirty flags: a tile's columns touch a dirty node iff its
   // block is flagged. O(blocks + |dirty|) setup, O(1) per resident tile.
   std::fill(block_dirty_.begin(), block_dirty_.end(), 0);
   for (const NodeId v : dirty) {
     UDWN_ASSERT(v.value < n_);
+    moved_at_[v.value] = new_version;
     block_dirty_[blocks_ == 1 ? 0 : v.value >> col_shift_] = 1;
   }
   const std::uint64_t was_fresh = prev_version + 1;

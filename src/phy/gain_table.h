@@ -15,6 +15,17 @@
 //   * a tile is *fresh* while its stamp matches the metric version; moves
 //     invalidate by stamp, never by writeback.
 //
+// Patches: a stale tile's storage still holds the exact gains at the
+// version it was last fresh at (stamp − 1). apply_delta records, per node,
+// the last version at which it moved, over a coverage window of versions
+// whose moves are all recorded. When that window reaches from the tile's
+// version up to the current one and the row's own node has not moved
+// since, plan_rows queues the tile as a *patch*: only the columns whose
+// node moved after the tile's version are recomputed — with the same
+// pathloss.signal(metric.distance(u, v)) expression, so a patched tile is
+// bit-identical to a full refill. Any gap in the recorded moves (a skipped
+// or coarse delta, a move made without a delta) falls back to a full fill.
+//
 // Tile fills: on Euclidean instances (resolved once at bind) a tile's
 // distances are computed as one batch — metric/distance_row.h, four lanes
 // per AVX2 op — straight into the tile, then pathloss.signal is applied in
@@ -108,11 +119,12 @@ class GainTable {
   /// listener blocks (see docs/ENGINE.md).
   bool plan_rows(std::span<const NodeId> sources);
 
-  /// Fill every tile queued by the last plan_rows whose column block lies
-  /// in [block_lo, block_hi). Tiles of disjoint block ranges occupy
-  /// disjoint storage, so concurrent calls over a partition of
-  /// [0, blocks()) are race-free; each tile's contents are a pure function
-  /// of (metric, pathloss, tile), so the result is schedule-independent.
+  /// Fill or patch every tile queued by the last plan_rows whose column
+  /// block lies in [block_lo, block_hi). Tiles of disjoint block ranges
+  /// occupy disjoint storage, so concurrent calls over a partition of
+  /// [0, blocks()) are race-free; each tile's contents end up a pure
+  /// function of (metric, pathloss, tile), so the result is
+  /// schedule-independent.
   void fill_planned(std::size_t block_lo, std::size_t block_hi);
 
   /// Base pointer of row u's column block b, or nullptr unless resident and
@@ -130,11 +142,18 @@ class GainTable {
   /// that was fresh at `prev_version` and whose entries cannot involve a
   /// dirty node — source row not dirty, column block containing no dirty
   /// id — to `new_version`, so only tiles actually touching dirty nodes
-  /// refill. `dirty` must be sorted ascending and list every node whose
+  /// go stale. `dirty` must be sorted ascending and list every node whose
   /// distances may have changed in (prev_version, new_version] (the
-  /// TopologyDelta::moved contract). Tiles left behind go stale naturally
-  /// and lazily refill in ensure_rows, exactly as under epoch
-  /// invalidation — skipping this call entirely is always sound.
+  /// TopologyDelta::moved contract).
+  ///
+  /// The call also records `new_version` as the last move of every dirty
+  /// node. A delta whose `prev_version` is the previous call's
+  /// `new_version` extends the coverage window of recorded moves; any gap
+  /// restarts it at `new_version`. Stale tiles whose version lies inside a
+  /// window that reaches the current metric version are patched (only
+  /// moved columns recomputed); all others refill in full, exactly as
+  /// under epoch invalidation — skipping this call entirely is always
+  /// sound.
   void apply_delta(std::span<const NodeId> dirty, std::uint64_t prev_version,
                    std::uint64_t new_version);
 
@@ -151,7 +170,9 @@ class GainTable {
     std::uint64_t hits = 0;        // tile already resident and fresh
     std::uint64_t misses = 0;      // tile not resident (slot acquired)
     std::uint64_t evictions = 0;   // resident tile displaced for a new one
-    std::uint64_t fills = 0;       // tiles (re)computed
+    std::uint64_t fills = 0;       // tiles computed in full
+    std::uint64_t patches = 0;     // stale tiles revalidated by recomputing
+                                   // only their moved columns
     std::uint64_t fallbacks = 0;   // ensure_rows over budget -> uncached path
     std::uint64_t freshened = 0;   // tiles restamped by apply_delta (no fill)
     std::uint64_t disabled_binds = 0;  // bind() left caching off: the budget
@@ -161,8 +182,19 @@ class GainTable {
 
  private:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
+  // PlannedTile::base of a tile that needs a full fill.
+  static constexpr std::uint64_t kFullFill = ~std::uint64_t{0};
 
+  // A tile queued by plan_rows: filled in full, or — when base is a metric
+  // version — patched from its exact contents at that version.
+  struct PlannedTile {
+    std::size_t tile;
+    std::uint64_t base;
+  };
+
+  void fill_planned_tile(const PlannedTile& planned);
   void fill_tile(std::size_t tile);
+  void patch_tile(std::size_t tile, std::uint64_t base);
   std::uint32_t acquire_slot();
   void lru_touch(std::uint32_t slot);
   void lru_detach(std::uint32_t slot);
@@ -197,8 +229,16 @@ class GainTable {
   std::size_t used_slots_ = 0;
   std::uint64_t pass_ = 0;
 
-  std::vector<std::size_t> fill_tiles_;  // scratch, reused across calls
+  std::vector<PlannedTile> fill_tiles_;  // scratch, reused across calls
   std::vector<std::uint8_t> block_dirty_;  // scratch for apply_delta
+
+  // Per node: the metric version of its last move recorded by apply_delta
+  // (0 = none). Every move in versions (cover_from_, cover_to_] is
+  // recorded, so a tile exact at V >= cover_from_ differs from the metric
+  // at cover_to_ exactly in the columns with moved_at_ > V.
+  std::vector<std::uint64_t> moved_at_;
+  std::uint64_t cover_from_ = 0;
+  std::uint64_t cover_to_ = 0;
   bool warned_disabled_ = false;  // one warning per table instance
   Stats stats_;
 };

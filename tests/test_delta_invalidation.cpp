@@ -2,7 +2,8 @@
 // QuasiMetric dirty bookkeeping (localized / coarse / batched spans),
 // Network::collect_delta folding metric dirt and alive churn into a
 // TopologyDelta, GainTable::apply_delta freshening exactly the tiles that
-// avoid every dirty row and column, and — the property the whole refactor
+// avoid every dirty row and column, stale tiles patched column by column
+// bit-identically to a full refill, and — the property the whole refactor
 // hangs on — cached slot resolution staying bit-identical to the brute-force
 // reference while deltas are applied every round. The engine-level test
 // closes the loop: delta, epoch, and uncached pipelines hash to the same
@@ -11,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/determinism.h"
@@ -248,6 +251,274 @@ TEST(GainTableDelta, NoOpWhenVersionsEqualOrEveryBlockDirty) {
   gains.apply_delta(dirty, v0, metric.version());
   EXPECT_EQ(gains.stats().freshened, 0u);
   EXPECT_EQ(gains.row_block(NodeId(3), 0), nullptr);
+}
+
+std::vector<NodeId> all_ids(std::uint32_t n) {
+  std::vector<NodeId> out;
+  for (std::uint32_t u = 0; u < n; ++u) out.push_back(NodeId(u));
+  return out;
+}
+
+std::uint64_t bits(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+// Every entry of every listed row, bitwise against the uncached expression
+// (+0.0 on the diagonal): a patched tile must equal a full refill.
+void expect_rows_exact(const GainTable& gains, const QuasiMetric& metric,
+                       const PathLoss& pl, std::span<const NodeId> rows) {
+  for (const NodeId u : rows)
+    for (std::size_t b = 0; b < gains.blocks(); ++b) {
+      const double* row = gains.row_block(u, b);
+      ASSERT_NE(row, nullptr) << "u=" << u.value << " b=" << b;
+      for (std::size_t j = 0; j < gains.block_cols(b); ++j) {
+        const auto v = static_cast<std::uint32_t>(gains.block_begin(b) + j);
+        const double want =
+            v == u.value ? 0.0 : pl.signal(metric.distance(u, NodeId(v)));
+        ASSERT_EQ(bits(row[j]), bits(want)) << "u=" << u.value << " v=" << v;
+      }
+    }
+}
+
+// One localized move handed to the table as its own delta, the way
+// TopologyCache forwards a round's TopologyDelta.
+void move_with_delta(EuclideanMetric& metric, GainTable& gains, NodeId v,
+                     Vec2 by) {
+  const std::uint64_t prev = metric.version();
+  const Vec2 p = metric.position(v);
+  metric.set_position(v, {p.x + by.x, p.y + by.y});
+  const std::vector<NodeId> dirty{v};
+  gains.apply_delta(dirty, prev, metric.version());
+}
+
+TEST(GainTableDelta, PatchesTilesLeftUnusedAcrossSeveralRoundsOfMoves) {
+  EuclideanMetric metric(test::random_points(32, 5.0, 73));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  ASSERT_EQ(gains.blocks(), 4u);
+  const std::vector<NodeId> all = all_ids(32);
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+
+  // Three rounds with one mover each (blocks 0, 1, 3). Only rows 1 and 2
+  // are used in between; every other row's tiles sit stale across rounds.
+  const std::vector<NodeId> used = ids({1, 2});
+  for (const std::uint32_t mover : {5u, 12u, 26u}) {
+    move_with_delta(metric, gains, NodeId(mover), {0.3, -0.2});
+    ASSERT_TRUE(gains.ensure_rows(used, nullptr));
+    expect_rows_exact(gains, metric, pl, used);
+  }
+  EXPECT_EQ(gains.stats().patches, 3u * 2u);
+
+  const GainTable::Stats before = gains.stats();
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  // The movers' rows refill in full; the 27 other unused rows patch the
+  // three blocks holding a mover (block 0 holds the diagonals of rows
+  // 0-7) and hit block 2, which apply_delta kept fresh.
+  EXPECT_EQ(gains.stats().fills - before.fills, 3u * 4u);
+  EXPECT_EQ(gains.stats().patches - before.patches, 27u * 3u);
+  EXPECT_EQ(gains.stats().hits - before.hits, 27u + 2u * 4u);
+}
+
+TEST(GainTableDelta, RowWhoseOwnNodeMovedIsRefilledInFull) {
+  EuclideanMetric metric(test::random_points(16, 4.0, 74));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  const std::vector<NodeId> row = ids({3});
+  ASSERT_TRUE(gains.ensure_rows(row, nullptr));
+
+  move_with_delta(metric, gains, NodeId(3), {0.4, 0.1});
+  ASSERT_TRUE(gains.ensure_rows(row, nullptr));
+  expect_rows_exact(gains, metric, pl, row);
+  EXPECT_EQ(gains.stats().fills, 2u + 2u);
+  EXPECT_EQ(gains.stats().patches, 0u);
+
+  // Row 3 is now exact at the version node 3 last moved at; a later move
+  // in its block patches it, and the diagonal stays +0.0.
+  move_with_delta(metric, gains, NodeId(6), {-0.2, 0.3});
+  ASSERT_TRUE(gains.ensure_rows(row, nullptr));
+  expect_rows_exact(gains, metric, pl, row);
+  EXPECT_EQ(gains.stats().fills, 4u);
+  EXPECT_EQ(gains.stats().patches, 1u);
+}
+
+TEST(GainTableDelta, MovesWithoutDeltaForceFullFills) {
+  EuclideanMetric metric(test::random_points(24, 4.5, 75));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  const std::vector<NodeId> all = all_ids(24);
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+
+  // A move the table never hears about: the recorded moves no longer reach
+  // the metric version, so nothing may be patched.
+  move_with_delta(metric, gains, NodeId(5), {0.2, 0.2});
+  metric.set_position(NodeId(20), {1.0, 1.0});
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 0u);
+
+  // A gap followed by a delta: the window restarts at that delta's version,
+  // so tiles exact before the unrecorded move (node 9) still refill whole.
+  metric.set_position(NodeId(9), {2.0, 3.0});
+  move_with_delta(metric, gains, NodeId(7), {-0.3, 0.1});
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 0u);
+
+  // Contiguous deltas from there on patch again.
+  move_with_delta(metric, gains, NodeId(11), {0.1, -0.4});
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 23u);  // block 1 of every other row
+}
+
+TEST(GainTableDelta, CoarseAddPointForcesFullFills) {
+  EuclideanMetric metric(test::random_points(24, 4.5, 76));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  const std::vector<NodeId> all = all_ids(24);
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+
+  // Deliver deltas the way TopologyCache does: a window the dirty log
+  // cannot localize (coarse) is skipped, never forwarded.
+  std::uint64_t seen = metric.version();
+  const auto deliver = [&] {
+    std::vector<NodeId> moved;
+    const std::uint64_t now = metric.version();
+    if (metric.dirty_log().collect(seen, now, moved)) {
+      std::sort(moved.begin(), moved.end());
+      moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+      gains.apply_delta(moved, seen, now);
+    }
+    seen = now;
+  };
+
+  metric.set_position(NodeId(4), {0.5, 0.5});
+  metric.add_point({3.0, 3.0});
+  deliver();
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 0u);
+
+  metric.set_position(NodeId(6), {1.5, 0.5});
+  deliver();  // first delta after the gap: restarts the window
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 0u);
+
+  metric.set_position(NodeId(8), {2.5, 0.5});
+  deliver();
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 23u);
+}
+
+TEST(GainTableDelta, PatchedSingleBlockRowsKeepPositiveZeroDiagonal) {
+  // One block per row (stride n): every patch covers its row's diagonal.
+  EuclideanMetric metric(test::random_points(12, 3.0, 77));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 16, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  ASSERT_EQ(gains.blocks(), 1u);
+  const std::vector<NodeId> all = all_ids(12);
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    // Node 4 lands on node 7 (a co-located pair), then drifts away.
+    const std::uint64_t prev = metric.version();
+    const Vec2 p7 = metric.position(NodeId(7));
+    metric.set_position(NodeId(4), {p7.x + 0.5 * round, p7.y});
+    const std::vector<NodeId> dirty = ids({4});
+    gains.apply_delta(dirty, prev, metric.version());
+    ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+    expect_rows_exact(gains, metric, pl, all);
+  }
+  EXPECT_EQ(gains.stats().patches, 3u * 11u);
+  EXPECT_EQ(gains.stats().fills, 12u + 3u);
+}
+
+TEST(GainTableDelta, PatchesAsymmetricMatrixMetricExactly) {
+  Rng rng(78);
+  MatrixMetric metric = MatrixMetric::random(12, 1.0, 4.0, 0.5, rng);
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 4, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  ASSERT_EQ(gains.blocks(), 3u);
+  const std::vector<NodeId> all = all_ids(12);
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    // A directed edit dirties both endpoints; only d(u, v) changes, so the
+    // reverse entry d(v, u) must come out of the patch unchanged.
+    const NodeId u(static_cast<std::uint32_t>(rng.below(12)));
+    const NodeId v(
+        static_cast<std::uint32_t>((u.value + 1 + rng.below(11)) % 12));
+    const std::uint64_t prev = metric.version();
+    metric.set_distance(u, v, metric.distance(u, v) * 1.25);
+    std::vector<NodeId> dirty{u, v};
+    std::sort(dirty.begin(), dirty.end());
+    gains.apply_delta(dirty, prev, metric.version());
+    ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+    expect_rows_exact(gains, metric, pl, all);
+  }
+  EXPECT_GT(gains.stats().patches, 0u);
+}
+
+TEST(GainTableDelta, PatchesMatchAcrossPoolAndPlannedShards) {
+  // The same patched rows through every fill path: serial ensure_rows, the
+  // pooled ensure_rows, and plan_rows + fill_planned on one thread and
+  // sharded over a 3-thread pool (the sharded-field path).
+  EuclideanMetric metric(test::random_points(40, 5.5, 79));
+  const PathLoss pl(1.5, 2.8, 1e-3);
+  TaskPool pool(3);
+  const GainTable::Config config{.tile_cols = 8, .budget_bytes = 1 << 20};
+  GainTable serial(config), pooled(config), planned(config), sharded(config);
+  GainTable* const tables[] = {&serial, &pooled, &planned, &sharded};
+  for (GainTable* t : tables) t->bind(metric, pl);
+  ASSERT_EQ(serial.blocks(), 5u);
+
+  Rng rng(80);
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE(round);
+    const std::uint64_t prev = metric.version();
+    std::vector<NodeId> dirty;
+    metric.begin_update();
+    for (int k = 0; k < 3; ++k) {
+      const NodeId v(static_cast<std::uint32_t>(rng.below(40)));
+      const Vec2 p = metric.position(v);
+      metric.set_position(v, {p.x + rng.uniform(-0.3, 0.3),
+                              p.y + rng.uniform(-0.3, 0.3)});
+      dirty.push_back(v);
+    }
+    metric.end_update();
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    for (GainTable* t : tables) t->apply_delta(dirty, prev, metric.version());
+
+    std::vector<NodeId> rows;
+    for (std::uint32_t u = 0; u < 40; ++u)
+      if (rng.chance(0.4)) rows.push_back(NodeId(u));
+    ASSERT_TRUE(serial.ensure_rows(rows, nullptr));
+    ASSERT_TRUE(pooled.ensure_rows(rows, &pool));
+    ASSERT_TRUE(planned.plan_rows(rows));
+    planned.fill_planned(0, planned.blocks());
+    ASSERT_TRUE(sharded.plan_rows(rows));
+    pool.run_chunks(0, sharded.blocks(), [&](std::size_t lo, std::size_t hi) {
+      sharded.fill_planned(lo, hi);
+    });
+    for (GainTable* t : tables) expect_rows_exact(*t, metric, pl, rows);
+  }
+  for (GainTable* t : tables) {
+    EXPECT_GT(t->stats().patches, 0u);
+    EXPECT_EQ(t->stats().patches, serial.stats().patches);
+    EXPECT_EQ(t->stats().fills, serial.stats().fills);
+  }
 }
 
 // Every field compared with exact equality: interference entries are

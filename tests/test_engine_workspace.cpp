@@ -5,13 +5,15 @@
 // with a counting global operator new/delete: after a warm-up round sizes
 // every buffer, further rounds on a stable topology must not touch the
 // heap — for serial AND multi-threaded engines (TaskPool dispatch is a
-// function pointer + stack context, never a std::function).
+// function pointer + stack context, never a std::function) — and a slot
+// that patches gain tiles after moves must not either.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "analysis/determinism.h"
 #include "analysis/runner.h"
@@ -135,6 +137,72 @@ TEST_P(FarFieldSteadyStateAllocation, SlotPerformsNoHeapAllocation) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, FarFieldSteadyStateAllocation,
                          ::testing::Values(1, 3),
+                         [](const auto& info) {
+                           return "threads" +
+                                  std::to_string(info.param);
+                         });
+
+class PatchedTileSteadyStateAllocation
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(PatchedTileSteadyStateAllocation, ResolveIntoPerformsNoHeapAllocation) {
+  // Moves between slots leave gain tiles stale, and the next resolve_into
+  // patches them. The moves and apply_delta (delta collection, grid moves)
+  // run outside the count; resolve_into itself (plan, patch, field, decode)
+  // must not allocate. 16-column tiles give 4 blocks per row, so at 2
+  // threads the sharded field patches inside fill_planned shards.
+  Scenario scenario(test::random_points(64, 6.0, 8107),
+                    test::default_config());
+  const Channel& channel = scenario.channel();
+  Network& network = scenario.network();
+  EuclideanMetric& metric = *scenario.euclidean();
+  network.set_track_changes(true);
+  SlotWorkspace ws({.gain_tile_cols = 16, .threads = GetParam()});
+
+  // Four movers oscillate between two positions and eight transmitter sets
+  // rotate, so rounds repeat with period 8 and warm-up sees every state.
+  const std::vector<NodeId> movers{NodeId(3), NodeId(20), NodeId(37),
+                                   NodeId(54)};
+  std::vector<Vec2> home;
+  for (const NodeId m : movers) home.push_back(metric.position(m));
+  std::vector<std::vector<NodeId>> tx_sets;
+  Rng rng(8108);
+  for (int s = 0; s < 8; ++s) {
+    std::vector<NodeId> txs;
+    for (std::uint32_t v = 0; v < 64; ++v)
+      if (rng.chance(0.25)) txs.push_back(NodeId(v));
+    tx_sets.push_back(std::move(txs));
+  }
+  const auto round = [&](int r, bool count) {
+    metric.begin_update();
+    for (std::size_t i = 0; i < movers.size(); ++i)
+      metric.set_position(movers[i], r % 2 == 0 ? home[i]
+                                                : Vec2{home[i].x + 0.25,
+                                                       home[i].y - 0.15});
+    metric.end_update();
+    ws.cache().apply_delta(network.collect_delta());
+    g_live_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(count, std::memory_order_relaxed);
+    channel.resolve_into(tx_sets[static_cast<std::size_t>(r) % 8],
+                         network.alive_mask(), 1.0, network.topology_epoch(),
+                         ws);
+    g_counting.store(false, std::memory_order_relaxed);
+    return g_live_allocations.load(std::memory_order_relaxed);
+  };
+
+  for (int r = 0; r < 32; ++r) round(r, false);
+  const GainTable* gains = ws.cache().gains();
+  ASSERT_NE(gains, nullptr);
+  ASSERT_EQ(gains->blocks(), 4u);
+  const std::uint64_t patches_before = gains->stats().patches;
+  for (int r = 32; r < 48; ++r)
+    EXPECT_EQ(round(r, true), 0) << "round " << r << " (threads="
+                                 << GetParam() << ")";
+  EXPECT_GT(gains->stats().patches, patches_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PatchedTileSteadyStateAllocation,
+                         ::testing::Values(1, 2),
                          [](const auto& info) {
                            return "threads" +
                                   std::to_string(info.param);
