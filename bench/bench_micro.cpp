@@ -51,7 +51,7 @@ void BM_ChannelResolve(benchmark::State& state) {
   Rng rng(2);
   Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
   const auto txs = sample_transmitters(n, 0.05, rng);
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
         txs, s.network().alive_mask(), 1.0, s.network().topology_epoch(), ws);
@@ -82,7 +82,6 @@ void BM_ChannelResolveThreads(benchmark::State& state) {
   Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
   const auto txs = sample_transmitters(n, 0.05, rng);
   SlotWorkspace ws({.cache_topology = true,
-                    .use_spatial_grid = true,
                     .threads = static_cast<int>(state.range(1))});
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
@@ -107,18 +106,15 @@ void BM_EngineRound(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRound)->Arg(128)->Arg(512)->Arg(2048);
 
-// Engine rounds under bounded mobility, delta vs epoch invalidation.
-// Args: {n, delta_invalidation}. A 1/32 fraction of the nodes drifts each
-// round — the paper's regime of rate-limited edge dynamics — so with delta
-// invalidation the per-round cache work scales with the movers and their
-// neighborhoods, while the epoch path re-derives grid, neighbor lists, and
-// gain tiles for all n nodes after every round's version bump. Narrow gain
-// tiles (1024 columns) localize the column damage of each mover; the
-// delta/epoch ratio at the same n is the headline speedup of the
-// delta-invalidation refactor (recorded in BENCH_micro_deltas.json).
+// Engine rounds under bounded mobility. Arg: n. A 1/32 fraction of the
+// nodes drifts each round — the paper's regime of rate-limited edge
+// dynamics — so the per-round cache work of delta invalidation scales with
+// the movers and their neighborhoods, and stale gain tiles are patched in
+// their moved columns only. Narrow gain tiles (1024 columns) localize the
+// column damage of each mover (recorded in BENCH_micro_deltas.json and
+// BENCH_gain_patch.json).
 void BM_EngineRoundMobility(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool delta = state.range(1) != 0;
   const double extent = std::sqrt(n / 8.0);
   Rng rng(5);
   Scenario s(uniform_square(n, extent, rng), ScenarioConfig{});
@@ -127,9 +123,7 @@ void BM_EngineRoundMobility(benchmark::State& state) {
   });
   const CarrierSensing cs = s.sensing_local();
   Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 5,
-                             .delta_invalidation = delta,
-                             .gain_tile_cols = 1024});
+                EngineConfig{.seed = 5, .gain_tile_cols = 1024});
   WaypointMobility mobility(*s.euclidean(), {.speed = 0.01,
                                              .extent = extent,
                                              .mobile_fraction = 1.0 / 32.0});
@@ -138,19 +132,14 @@ void BM_EngineRoundMobility(benchmark::State& state) {
   for (auto _ : state) engine.step();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EngineRoundMobility)
-    ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_EngineRoundMobility)->Arg(2048)->Arg(8192);
 
 // Engine rounds under node churn: one departure and one re-placed arrival
-// per round. Args: {n, delta_invalidation}. The delta path invalidates the
-// toggled nodes' neighborhoods (two grid balls each) instead of all n
-// neighbor lists; the arrival's move is the only gain-column damage.
+// per round. Arg: n. Delta invalidation refreshes the toggled nodes'
+// neighborhoods (two grid balls each) instead of all n neighbor lists; the
+// arrival's move is the only gain-column damage.
 void BM_EngineRoundChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool delta = state.range(1) != 0;
   const double extent = std::sqrt(n / 8.0);
   Rng rng(6);
   Scenario s(uniform_square(n, extent, rng), ScenarioConfig{});
@@ -159,9 +148,7 @@ void BM_EngineRoundChurn(benchmark::State& state) {
   });
   const CarrierSensing cs = s.sensing_local();
   Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 6,
-                             .delta_invalidation = delta,
-                             .gain_tile_cols = 1024});
+                EngineConfig{.seed = 6, .gain_tile_cols = 1024});
   ChurnDynamics churn({.arrival_rate = 1.0,
                        .departure_rate = 1.0,
                        .placement_extent = extent});
@@ -170,11 +157,7 @@ void BM_EngineRoundChurn(benchmark::State& state) {
   for (auto _ : state) engine.step();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EngineRoundChurn)
-    ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_EngineRoundChurn)->Arg(2048)->Arg(8192);
 
 // Same workload with a live Obs handle: counters, histograms, and trace
 // events all on. The ratio against BM_EngineRound at the same n is the

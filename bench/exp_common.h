@@ -29,8 +29,8 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "bench/cpu_features.h"
 #include "obs/obs.h"
-#include "phy/simd.h"
 #include "sim/batch.h"
 #include "topo/generators.h"
 

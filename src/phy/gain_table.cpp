@@ -61,6 +61,8 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
 
   tile_slot_.clear();
   tile_stamp_.clear();
+  moved_at_.clear();
+  block_dirty_.clear();
   storage_.clear();
   storage_.shrink_to_fit();
   slot_tile_.clear();
@@ -73,17 +75,24 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   pass_ = 0;
   if (!enabled_) return;
 
-  tile_slot_.assign(n_ * blocks_, kInvalid);
-  tile_stamp_.assign(n_ * blocks_, 0);
-  // Sized here, at bind time; steady-state apply_delta only std::fills it.
-  block_dirty_.assign(blocks_, 0);  // udwn-lint: allow(hot-path-alloc): bind
-  moved_at_.assign(n_, 0);  // udwn-lint: allow(hot-path-alloc): bind
   cover_from_ = metric.version();
   cover_to_ = cover_from_;
   slot_tile_.reserve(max_tiles_);
   lru_prev_.reserve(max_tiles_);
   lru_next_.reserve(max_tiles_);
   pin_pass_.reserve(max_tiles_);
+}
+
+void GainTable::materialize() {
+  // Per-tile metadata is 12 B per logical tile — n·blocks entries, 3 GiB at
+  // n = 2^20 — so it is sized once per bind, by the first plan: a workspace
+  // whose field bypasses the table (the far-field path) never pays for it.
+  const std::size_t tiles = n_ * blocks_;
+  tile_slot_.assign(tiles, kInvalid);  // udwn-lint: allow(hot-path-alloc): once
+  tile_stamp_.assign(tiles, 0);  // udwn-lint: allow(hot-path-alloc): once
+  // Steady-state apply_delta only std::fills block_dirty_.
+  block_dirty_.assign(blocks_, 0);  // udwn-lint: allow(hot-path-alloc): once
+  moved_at_.assign(n_, 0);  // udwn-lint: allow(hot-path-alloc): once
 }
 
 void GainTable::lru_detach(std::uint32_t slot) {
@@ -190,6 +199,7 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
   if (!enabled_) return false;
   if (sources.empty()) return true;
   UDWN_ASSERT(metric_ != nullptr && pathloss_ != nullptr);
+  if (!materialized()) materialize();
   const std::uint64_t version = metric_->version();
   const std::uint64_t fresh = version + 1;
   // Stale tiles are patchable only while the recorded moves reach the
@@ -273,6 +283,13 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
                             std::uint64_t new_version) {
   if (!enabled_ || prev_version == new_version) return;
   UDWN_EXPECT(prev_version < new_version);
+  if (!materialized()) {
+    // No tile exists to freshen or patch: record nothing, and restart the
+    // coverage window so no later tile claims the unrecorded moves.
+    cover_from_ = new_version;
+    cover_to_ = new_version;
+    return;
+  }
   // Coverage window: contiguous deltas extend it; a gap means moves went
   // unrecorded, so only tiles exact at new_version or later can be
   // patched from here on.
@@ -304,7 +321,7 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
 }
 
 const double* GainTable::row_block(NodeId u, std::size_t b) const {
-  if (!enabled_) return nullptr;
+  if (!materialized()) return nullptr;
   UDWN_ASSERT(u.value < n_ && b < blocks_);
   const std::size_t tile = static_cast<std::size_t>(u.value) * blocks_ + b;
   const std::uint32_t slot = tile_slot_[tile];
@@ -314,7 +331,7 @@ const double* GainTable::row_block(NodeId u, std::size_t b) const {
 }
 
 const double* GainTable::cell(NodeId u, std::uint32_t v) const {
-  if (!enabled_) return nullptr;
+  if (!materialized()) return nullptr;
   UDWN_ASSERT(u.value < n_ && v < n_);
   const std::size_t b = blocks_ == 1 ? 0 : v >> col_shift_;
   const std::size_t col =

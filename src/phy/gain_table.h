@@ -81,6 +81,7 @@ class GainTable {
 
   /// Bind to a topology, dropping all residency. Called on workspace rebind
   /// (new metric/pathloss object or changed instance size), not per slot.
+  /// Allocates no per-tile state: that waits for the first plan_rows.
   void bind(const QuasiMetric& metric, const PathLoss& pathloss);
 
   /// True when the budget admits at least one full row of tiles for the
@@ -153,12 +154,16 @@ class GainTable {
   /// window that reaches the current metric version are patched (only
   /// moved columns recomputed); all others refill in full, exactly as
   /// under epoch invalidation — skipping this call entirely is always
-  /// sound.
+  /// sound. Before the first plan since bind there are no tiles, and the
+  /// call only restarts the coverage window at `new_version`.
   void apply_delta(std::span<const NodeId> dirty, std::uint64_t prev_version,
                    std::uint64_t new_version);
 
   /// Introspection for tests.
   [[nodiscard]] std::size_t resident_tiles() const { return used_slots_; }
+  /// True once the first plan_rows / ensure_rows since bind has sized the
+  /// per-tile and per-node metadata (never while the table goes unread).
+  [[nodiscard]] bool materialized() const { return !tile_slot_.empty(); }
   [[nodiscard]] std::size_t max_tiles() const { return max_tiles_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -192,6 +197,7 @@ class GainTable {
     std::uint64_t base;
   };
 
+  void materialize();
   void fill_planned_tile(const PlannedTile& planned);
   void fill_tile(std::size_t tile);
   void patch_tile(std::size_t tile, std::uint64_t base);
@@ -214,7 +220,8 @@ class GainTable {
   std::size_t max_tiles_ = 0;
   bool enabled_ = false;
 
-  // Per logical tile (row-major: tile = u * blocks_ + b).
+  // Per logical tile (row-major: tile = u * blocks_ + b); empty until the
+  // first plan after bind (materialize).
   std::vector<std::uint32_t> tile_slot_;
   std::vector<std::uint64_t> tile_stamp_;  // metric version + 1; 0 = never
 

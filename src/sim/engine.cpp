@@ -20,12 +20,8 @@ Engine::Engine(const Channel& channel, Network& network,
       rng_(config.seed),
       workspace_(SlotWorkspaceConfig{
           .cache_topology = config.cache_topology,
-          .use_spatial_grid = config.use_spatial_grid,
           .gain_budget_bytes = config.gain_budget_bytes,
           .gain_tile_cols = config.gain_tile_cols,
-          .soa_kernel = config.soa_kernel,
-          .simd = config.simd,
-          .field_sharding = config.field_sharding,
           .far_field_eps = config.far_field_eps,
           .far_field_cell_factor = config.far_field_cell_factor,
           .threads = config.threads,
@@ -39,8 +35,7 @@ Engine::Engine(const Channel& channel, Network& network,
   // Delta invalidation needs the network to accumulate per-round change
   // sets; tracking is records-only (no rng, no trace effect), so arming it
   // cannot perturb the simulation.
-  if (config_.delta_invalidation && config_.cache_topology)
-    network.set_track_changes(true);
+  if (config_.cache_topology) network.set_track_changes(true);
 
   const std::size_t n = network.size();
   transmitters_.reserve(n);
@@ -103,7 +98,7 @@ void Engine::step() {
   // the previous round's stamps are still comparable (before any slot
   // syncs the new epoch). Quiet rounds produce an empty delta and the call
   // is a handful of compares — the static-scenario trace is untouched.
-  if (config_.delta_invalidation && config_.cache_topology)
+  if (config_.cache_topology)
     workspace_.cache().apply_delta(network_->collect_delta());
 
   // Advance local clocks.

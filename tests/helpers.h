@@ -1,6 +1,8 @@
 // Shared fixtures and builders for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <vector>
 
@@ -47,6 +49,27 @@ inline const char* model_name(ModelKind kind) {
     case ModelKind::SuccClearOnly: return "SuccClearOnly";
   }
   return "?";
+}
+
+/// Every outcome field compared with exact equality: interference entries
+/// are doubles and must match the brute-force reference to the last bit,
+/// not approximately.
+inline void expect_outcomes_identical(const SlotOutcome& ref,
+                                      const SlotOutcome& got,
+                                      const char* label = "") {
+  SCOPED_TRACE(label);
+  ASSERT_EQ(ref.transmitters.size(), got.transmitters.size());
+  for (std::size_t i = 0; i < ref.transmitters.size(); ++i)
+    EXPECT_EQ(ref.transmitters[i], got.transmitters[i]);
+  ASSERT_EQ(ref.interference.size(), got.interference.size());
+  for (std::size_t v = 0; v < ref.interference.size(); ++v)
+    EXPECT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
+  for (std::size_t v = 0; v < ref.decoded_from.size(); ++v)
+    EXPECT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
+  for (std::size_t v = 0; v < ref.mass_delivered.size(); ++v)
+    EXPECT_EQ(ref.mass_delivered[v], got.mass_delivered[v]) << "node " << v;
+  for (std::size_t v = 0; v < ref.clear.size(); ++v)
+    EXPECT_EQ(ref.clear[v], got.clear[v]) << "node " << v;
 }
 
 }  // namespace udwn::test

@@ -3,7 +3,8 @@
 // engine seeds — it never draws from the Rng), the opportunistic protocol's
 // harmonic-revival schedule behaves, the TIntervalAdversary provably
 // maintains T-interval connectivity over every window while genuinely
-// rewiring, delta invalidation stays bit-exact under adversarial rewiring,
+// rewiring, the delta-invalidated cache stays bit-exact against the uncached
+// pipeline under adversarial rewiring,
 // and the non-finite JSON emitter renders NaN/inf as null.
 #include <gtest/gtest.h>
 
@@ -42,7 +43,7 @@ bool jks_informed(const Protocol& p) {
 struct ArenaRunOptions {
   std::uint64_t seed = 7;
   int threads = 1;
-  bool delta = true;
+  bool cached = true;
   Round rounds = 120;
 };
 
@@ -60,7 +61,7 @@ void run_jks_adversary(const ArenaRunOptions& options,
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                 EngineConfig{.seed = options.seed,
                              .threads = options.threads,
-                             .delta_invalidation = options.delta});
+                             .cache_topology = options.cached});
   TIntervalAdversary adversary(*matrix, {.interval = 4});
   adversary.set_frontier(
       [&protocols](NodeId v) { return jks_informed(*protocols[v.value]); });
@@ -133,8 +134,8 @@ TEST(JksBroadcast, BitIdenticalAcrossThreadsRepeatsAndEngineSeeds) {
   EXPECT_EQ(jks_adversary_hash({}), serial);
   // Threads 4: slot pipeline parallelism must not shift a single bit.
   EXPECT_EQ(jks_adversary_hash({.threads = 4}), serial);
-  // Epoch vs delta invalidation.
-  EXPECT_EQ(jks_adversary_hash({.delta = false}), serial);
+  // Delta-invalidated cache vs the uncached pipeline.
+  EXPECT_EQ(jks_adversary_hash({.cached = false}), serial);
   // The strong form: JKS never consumes engine randomness ({0,1}
   // probabilities short-circuit Rng::chance), so even the ENGINE SEED does
   // not matter — the whole arena cell is schedule-determined.

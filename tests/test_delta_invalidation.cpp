@@ -6,8 +6,8 @@
 // bit-identically to a full refill, and — the property the whole refactor
 // hangs on — cached slot resolution staying bit-identical to the brute-force
 // reference while deltas are applied every round. The engine-level test
-// closes the loop: delta, epoch, and uncached pipelines hash to the same
-// trace under churn + mobility, serial and threaded.
+// closes the loop: the delta-invalidated and uncached pipelines hash to the
+// same trace under churn + mobility, serial and threaded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -377,6 +377,38 @@ TEST(GainTableDelta, MovesWithoutDeltaForceFullFills) {
   EXPECT_EQ(gains.stats().patches, 23u);  // block 1 of every other row
 }
 
+TEST(GainTableDelta, DeltasBeforeTheFirstPlanOnlyRestartTheWindow) {
+  // bind sizes no per-tile state; moves delivered before the first
+  // ensure_rows find nothing to freshen or record. The first plan then
+  // fills in full, and contiguous deltas from there on patch as usual.
+  EuclideanMetric metric(test::random_points(24, 4.5, 79));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  ASSERT_TRUE(gains.enabled());
+  EXPECT_FALSE(gains.materialized());
+  move_with_delta(metric, gains, NodeId(4), {0.2, -0.1});
+  move_with_delta(metric, gains, NodeId(17), {-0.3, 0.2});
+  EXPECT_FALSE(gains.materialized());
+  EXPECT_EQ(gains.stats().freshened, 0u);
+
+  const std::vector<NodeId> all = all_ids(24);
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  EXPECT_TRUE(gains.materialized());
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().fills, 24u * 3u);
+  EXPECT_EQ(gains.stats().patches, 0u);
+
+  move_with_delta(metric, gains, NodeId(11), {0.1, -0.4});
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  expect_rows_exact(gains, metric, pl, all);
+  EXPECT_EQ(gains.stats().patches, 23u);  // block 1 of every other row
+
+  // A rebind drops the metadata again until the next plan.
+  gains.bind(metric, pl);
+  EXPECT_FALSE(gains.materialized());
+}
+
 TEST(GainTableDelta, CoarseAddPointForcesFullFills) {
   EuclideanMetric metric(test::random_points(24, 4.5, 76));
   const PathLoss pl(2.0, 3.0, 1e-3);
@@ -521,24 +553,6 @@ TEST(GainTableDelta, PatchesMatchAcrossPoolAndPlannedShards) {
   }
 }
 
-// Every field compared with exact equality: interference entries are
-// doubles and must match the brute-force reference to the last bit.
-void expect_outcomes_identical(const SlotOutcome& ref,
-                               const SlotOutcome& got) {
-  ASSERT_EQ(ref.transmitters.size(), got.transmitters.size());
-  for (std::size_t i = 0; i < ref.transmitters.size(); ++i)
-    EXPECT_EQ(ref.transmitters[i], got.transmitters[i]);
-  ASSERT_EQ(ref.interference.size(), got.interference.size());
-  for (std::size_t v = 0; v < ref.interference.size(); ++v)
-    EXPECT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.decoded_from.size(); ++v)
-    EXPECT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.mass_delivered.size(); ++v)
-    EXPECT_EQ(ref.mass_delivered[v], got.mass_delivered[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.clear.size(); ++v)
-    EXPECT_EQ(ref.clear[v], got.clear[v]) << "node " << v;
-}
-
 TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
   Scenario scenario(test::random_points(60, 6.0, 8101),
                     test::default_config());
@@ -571,15 +585,15 @@ TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
     const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
     const SlotOutcome& got = channel.resolve_into(
         txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    expect_outcomes_identical(ref, got);
+    test::expect_outcomes_identical(ref, got);
   }
   // The fast path must have engaged, not silently degraded to epoch-only.
   ASSERT_NE(ws.cache().gains(), nullptr);
   EXPECT_GT(ws.cache().gains()->stats().freshened, 0u);
 }
 
-std::vector<std::uint64_t> run_engine_trace(bool cache, bool delta,
-                                            int threads, bool dynamic) {
+std::vector<std::uint64_t> run_engine_trace(bool cache, int threads,
+                                            bool dynamic) {
   const std::uint64_t seed = 4242;
   Scenario scenario(test::random_points(24, 4.0, seed),
                     test::default_config());
@@ -595,8 +609,7 @@ std::vector<std::uint64_t> run_engine_trace(bool cache, bool delta,
                 EngineConfig{.slots_per_round = 2,
                              .seed = seed,
                              .threads = threads,
-                             .cache_topology = cache,
-                             .delta_invalidation = delta});
+                             .cache_topology = cache});
   ChurnDynamics churn({.arrival_rate = 0.15,
                        .departure_rate = 0.15,
                        .placement_extent = 4.0,
@@ -614,20 +627,21 @@ std::vector<std::uint64_t> run_engine_trace(bool cache, bool delta,
 
 TEST(DeltaInvalidation, EngineTraceBitIdenticalAcrossInvalidationModes) {
   // Delta invalidation is a pure freshening optimization: under churn +
-  // mobility it must hash round-for-round identical to the epoch reference
-  // path, to the uncached pipeline, and to its own threaded variant.
+  // mobility it must hash round-for-round identical to the uncached
+  // pipeline, serial and threaded, and to its own threaded variant.
   const auto delta_trace =
-      run_engine_trace(true, true, /*threads=*/1, /*dynamic=*/true);
-  EXPECT_EQ(delta_trace, run_engine_trace(true, false, 1, true));
-  EXPECT_EQ(delta_trace, run_engine_trace(false, false, 1, true));
-  EXPECT_EQ(delta_trace, run_engine_trace(true, true, 4, true));
+      run_engine_trace(/*cache=*/true, /*threads=*/1, /*dynamic=*/true);
+  EXPECT_EQ(delta_trace, run_engine_trace(false, 1, true));
+  EXPECT_EQ(delta_trace, run_engine_trace(false, 4, true));
+  EXPECT_EQ(delta_trace, run_engine_trace(true, 4, true));
 }
 
 TEST(DeltaInvalidation, StaticScenarioTraceUnchangedByDeltaKnob) {
   // No dynamics: every per-round delta is empty and apply_delta no-ops, so
-  // the reference trace of a static scenario cannot shift.
-  EXPECT_EQ(run_engine_trace(true, true, 1, /*dynamic=*/false),
-            run_engine_trace(true, false, 1, /*dynamic=*/false));
+  // the delta-invalidated engine's trace of a static scenario must equal
+  // the uncached engine's.
+  EXPECT_EQ(run_engine_trace(true, 1, /*dynamic=*/false),
+            run_engine_trace(false, 1, /*dynamic=*/false));
 }
 
 }  // namespace

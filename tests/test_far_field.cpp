@@ -374,6 +374,46 @@ TEST(FarField, PowerScaledSlotsStayCertified) {
   }
 }
 
+TEST(FarField, WorkspaceLeavesGainTableMetadataUnallocated) {
+  // The far field bypasses the gain table, so the table's per-tile
+  // metadata (12 B per logical tile, sized by the first plan) must stay
+  // unallocated across slots and per-round deltas. Any slot that fell back
+  // to the exact kernels would size it, so this also pins that the far
+  // path engaged every time.
+  constexpr std::size_t kNodes = 400;
+  Scenario scenario(test::random_points(kNodes, 7.0, 9800),
+                    test::default_config());
+  const Channel& channel = scenario.channel();
+  Network& network = scenario.network();
+  EuclideanMetric& metric = *scenario.euclidean();
+  network.set_track_changes(true);
+  SlotWorkspace ws(SlotWorkspaceConfig{.far_field_eps = 0.4,
+                                       .far_field_cell_factor = 0.25,
+                                       .threads = 2});
+  Rng rng(43);
+  for (int slot = 0; slot < 8; ++slot) {
+    const NodeId mover(static_cast<std::uint32_t>(rng.below(kNodes)));
+    const Vec2 p = metric.position(mover);
+    metric.set_position(
+        mover, {p.x + rng.uniform(-0.1, 0.1), p.y + rng.uniform(-0.1, 0.1)});
+    ws.cache().apply_delta(network.collect_delta());
+    const auto txs = sample_ids(kNodes, 0.25, rng);
+    (void)channel.resolve_into(txs, network.alive_mask(), 1.0,
+                               network.topology_epoch(), ws);
+  }
+  const GainTable* gains = ws.cache().gains();
+  ASSERT_NE(gains, nullptr);  // the budget admits rows at this n
+  EXPECT_FALSE(gains->materialized());
+
+  // The exact pipeline on the same instance sizes it on its first slot.
+  SlotWorkspace exact;
+  (void)channel.resolve_into(sample_ids(kNodes, 0.25, rng),
+                             network.alive_mask(), 1.0,
+                             network.topology_epoch(), exact);
+  ASSERT_NE(exact.cache().gains(), nullptr);
+  EXPECT_TRUE(exact.cache().gains()->materialized());
+}
+
 TEST(FarField, ExactConfigurationIsUntouchedByDefault) {
   // far_field_eps = 0 (the default) must leave the pipeline bit-identical
   // to the reference — the approximation is strictly opt-in.

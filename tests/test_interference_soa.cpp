@@ -1,8 +1,8 @@
-// Property tests for the gain-table interference kernels: for every metric
+// Property tests for the gain-table interference kernel: for every metric
 // family, path-loss configuration, thread count and transmitter set, the
-// SoA kernel, the scalar row kernel and the uncached brute-force kernel
-// must produce bit-for-bit identical fields (exact ==, never NEAR) — the
-// contract docs/ENGINE.md states and the determinism audit relies on.
+// SoA kernel and the uncached brute-force kernel must produce bit-for-bit
+// identical fields (exact ==, never NEAR) — the contract docs/ENGINE.md
+// states and the determinism audit relies on.
 #include "phy/interference.h"
 
 #include <gtest/gtest.h>
@@ -40,7 +40,6 @@ void expect_kernels_identical(const QuasiMetric& metric,
   ASSERT_TRUE(gains.enabled()) << context;
 
   std::vector<double> reference;
-  std::vector<double> rows_field;
   std::vector<double> soa_field;
   std::vector<const double*> row_scratch;
 
@@ -52,18 +51,12 @@ void expect_kernels_identical(const QuasiMetric& metric,
     for (int threads : {1, 2, 3}) {
       TaskPool pool(threads);
       TaskPool* pool_arg = threads > 1 ? &pool : nullptr;
-      interference_field_rows(gains, txs, rows_field, pool_arg);
       interference_field_soa(gains, txs, row_scratch, soa_field, pool_arg);
-      ASSERT_EQ(reference.size(), rows_field.size());
       ASSERT_EQ(reference.size(), soa_field.size());
-      for (std::size_t v = 0; v < n; ++v) {
-        EXPECT_EQ(reference[v], rows_field[v])
-            << context << " rows kernel, txs=" << count
-            << " threads=" << threads << " node " << v;
+      for (std::size_t v = 0; v < n; ++v)
         EXPECT_EQ(reference[v], soa_field[v])
-            << context << " soa kernel, txs=" << count
-            << " threads=" << threads << " node " << v;
-      }
+            << context << " txs=" << count << " threads=" << threads
+            << " node " << v;
     }
   }
 }
@@ -88,7 +81,7 @@ TEST(InterferenceSoa, MatchesBruteForceOnAsymmetricMatrixMetric) {
 
 TEST(InterferenceSoa, MatchesBruteForceAcrossTileBlocks) {
   // 16-column tiles at n = 67: five blocks per row, the last ragged (3
-  // columns) — exercises the block-intersection arithmetic of both kernels.
+  // columns) — exercises the kernel's block-intersection arithmetic.
   EuclideanMetric metric(test::random_points(67, 7.0, 502));
   const PathLoss pl(1.0, 3.0, 1e-3);
   expect_kernels_identical(metric, pl, GainTable::Config{.tile_cols = 16},

@@ -398,12 +398,12 @@ TEST(EngineObs, EventStreamIsIdenticalAcrossThreadsAndKernels) {
             run_observed(EngineConfig{.seed = 3, .threads = 4})
                 ->snapshot().events);
   EXPECT_EQ(reference,
-            run_observed(EngineConfig{.seed = 3, .soa_kernel = false})
+            run_observed(EngineConfig{.seed = 3, .cache_topology = false})
                 ->snapshot().events);
-  EXPECT_EQ(reference,
-            run_observed(
-                EngineConfig{.seed = 3, .threads = 4, .soa_kernel = false})
-                ->snapshot().events);
+  EXPECT_EQ(reference, run_observed(EngineConfig{.seed = 3,
+                                                 .threads = 4,
+                                                 .gain_tile_cols = 16})
+                           ->snapshot().events);
 }
 
 // Worker-side shard spans are opt-in (their cross-ring merge order is

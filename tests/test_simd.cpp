@@ -1,51 +1,19 @@
-// Property tests for the explicit-SIMD interference kernel (phy/simd.h):
-// every dispatch level must be bitwise identical to the autovectorized SoA
-// reference — exact ==, never NEAR — on ragged column windows, multi-block
-// tiles, asymmetric metrics, and through the full slot pipeline across all
-// reception models. Also covers the UDWN_SIMD environment override and the
-// forced-scalar dispatch path.
-#include "phy/simd.h"
-
+// Vector-lane tests: the shared column accumulator behind both gain-table
+// field paths (interference_field_soa and the block-sharded field) must be
+// bitwise identical — exact ==, never NEAR — to one add at a time per
+// listener, on ragged column windows where vector bodies and scalar tails
+// meet. Also covers the host ISA probe recorded with benchmark results.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/cpu_features.h"
 #include "common/rng.h"
-#include "metric/euclidean.h"
-#include "metric/matrix_metric.h"
-#include "phy/channel.h"
-#include "phy/gain_table.h"
 #include "phy/interference.h"
-#include "tests/helpers.h"
 
 namespace udwn {
 namespace {
-
-std::vector<NodeId> take_transmitters(std::size_t n, std::size_t count,
-                                      std::uint64_t seed) {
-  std::vector<NodeId> all;
-  all.reserve(n);
-  for (std::uint32_t v = 0; v < n; ++v) all.emplace_back(v);
-  Rng rng(seed);
-  for (std::size_t i = 0; i + 1 < all.size(); ++i) {
-    const std::size_t j = i + rng.below(all.size() - i);
-    std::swap(all[i], all[j]);
-  }
-  all.resize(count);
-  return all;
-}
-
-// Levels worth exercising on this host: always scalar, plus whatever the
-// CPU probe reports (kScalar there means no SIMD available — still a valid
-// run of the dispatch path).
-std::vector<SimdLevel> host_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (detect_simd_level() != SimdLevel::kScalar)
-    levels.push_back(detect_simd_level());
-  return levels;
-}
 
 TEST(SimdKernel, AccumulateMatchesScalarOnRaggedWindows) {
   // Synthetic rows with full-entropy doubles: any reassociation or width
@@ -60,176 +28,39 @@ TEST(SimdKernel, AccumulateMatchesScalarOnRaggedWindows) {
     storage.push_back(std::move(row));
   }
   for (const auto& row : storage) rows.push_back(row.data());
+  // The same rows at stride 3, the layout the field paths pass (one entry
+  // per transmitter and block); the gaps hold rows the sweep must skip.
+  std::vector<const double*> strided(rows.size() * 3, storage.back().data());
+  for (std::size_t i = 0; i < rows.size(); ++i) strided[i * 3] = rows[i];
 
-  for (const SimdLevel level : host_levels()) {
-    SCOPED_TRACE(simd_level_name(level));
-    for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                              std::size_t{3}, std::size_t{4}, std::size_t{5},
-                              std::size_t{8}, std::size_t{9}}) {
-      for (std::size_t jlo : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                              std::size_t{8}}) {
-        for (std::size_t jhi : {jlo, jlo + 1, jlo + 2, jlo + 5, kCols}) {
-          std::vector<double> want(kCols, 0.5);
+  for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                            std::size_t{3}, std::size_t{4}, std::size_t{5},
+                            std::size_t{8}, std::size_t{9}}) {
+    for (std::size_t jlo : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                            std::size_t{8}}) {
+      for (std::size_t jhi : {jlo, jlo + 1, jlo + 2, jlo + 5, kCols}) {
+        // Reference: each column adds the rows one at a time, in order.
+        std::vector<double> want(kCols, 0.5);
+        for (std::size_t j = jlo; j < jhi; ++j)
+          for (std::size_t i = 0; i < count; ++i) want[j] += rows[i][j];
+        for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
           std::vector<double> got(kCols, 0.5);
-          simd_accumulate_columns(rows.data(), 1, count, want.data(), jlo,
-                                  jhi, SimdLevel::kScalar);
-          simd_accumulate_columns(rows.data(), 1, count, got.data(), jlo,
-                                  jhi, level);
+          accumulate_columns(stride == 1 ? rows.data() : strided.data(),
+                             stride, count, got.data(), jlo, jhi);
           for (std::size_t j = 0; j < kCols; ++j)
             EXPECT_EQ(want[j], got[j])
-                << "count=" << count << " window=[" << jlo << "," << jhi
-                << ") col " << j;
+                << "count=" << count << " stride=" << stride << " window=["
+                << jlo << "," << jhi << ") col " << j;
         }
       }
     }
-  }
-}
-
-void expect_simd_matches_reference(const QuasiMetric& metric,
-                                   const PathLoss& pathloss,
-                                   GainTable::Config table_config,
-                                   const char* context) {
-  const std::size_t n = metric.size();
-  GainTable gains(table_config);
-  gains.bind(metric, pathloss);
-  ASSERT_TRUE(gains.enabled()) << context;
-
-  std::vector<double> reference;
-  std::vector<double> simd_field;
-  std::vector<const double*> scratch_ref;
-  std::vector<const double*> scratch_simd;
-
-  for (std::size_t count :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, n / 2, n}) {
-    const auto txs = take_transmitters(n, count, 7100 + count);
-    ASSERT_TRUE(gains.ensure_rows(txs, nullptr)) << context;
-    interference_field_soa(gains, txs, scratch_ref, reference, nullptr);
-    for (const SimdLevel level : host_levels()) {
-      for (int threads : {1, 3}) {
-        TaskPool pool(threads);
-        TaskPool* pool_arg = threads > 1 ? &pool : nullptr;
-        interference_field_simd(gains, txs, scratch_simd, simd_field, level,
-                                pool_arg);
-        ASSERT_EQ(reference.size(), simd_field.size());
-        for (std::size_t v = 0; v < n; ++v)
-          EXPECT_EQ(reference[v], simd_field[v])
-              << context << " level=" << simd_level_name(level)
-              << " txs=" << count << " threads=" << threads << " node " << v;
-      }
-    }
-  }
-}
-
-TEST(SimdKernel, FieldMatchesSoaOnEuclidean) {
-  EuclideanMetric metric(test::random_points(67, 7.0, 511));
-  for (const PathLoss& pl :
-       {PathLoss(1.0, 3.0, 1e-3), PathLoss(8.0, 2.5, 1e-3)}) {
-    expect_simd_matches_reference(metric, pl, GainTable::Config{},
-                                  "euclidean");
-  }
-}
-
-TEST(SimdKernel, FieldMatchesSoaAcrossRaggedTileBlocks) {
-  // 16-column tiles at n = 67: five blocks per row, the last ragged (3
-  // columns) — the SIMD tail handling must agree with the reference on
-  // every block boundary.
-  EuclideanMetric metric(test::random_points(67, 7.0, 512));
-  expect_simd_matches_reference(metric, PathLoss(1.0, 3.0, 1e-3),
-                                GainTable::Config{.tile_cols = 16}, "tiled");
-}
-
-TEST(SimdKernel, FieldMatchesSoaOnAsymmetricMatrixMetric) {
-  Rng rng(78);
-  const MatrixMetric metric = MatrixMetric::random(61, 0.5, 4.0, 0.4, rng);
-  expect_simd_matches_reference(metric, PathLoss(3.0, 2.2, 1e-3),
-                                GainTable::Config{.tile_cols = 16}, "matrix");
-}
-
-// Every field compared with exact equality (same contract as the slot
-// pipeline suite).
-void expect_outcomes_identical(const SlotOutcome& ref, const SlotOutcome& got,
-                               const char* label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(ref.interference.size(), got.interference.size());
-  for (std::size_t v = 0; v < ref.interference.size(); ++v)
-    EXPECT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.decoded_from.size(); ++v)
-    EXPECT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.mass_delivered.size(); ++v)
-    EXPECT_EQ(ref.mass_delivered[v], got.mass_delivered[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.clear.size(); ++v)
-    EXPECT_EQ(ref.clear[v], got.clear[v]) << "node " << v;
-}
-
-TEST(SimdPipeline, ResolveIntoMatchesReferenceAcrossModels) {
-  struct Variant {
-    const char* label;
-    SlotWorkspaceConfig config;
-  };
-  const std::vector<Variant> variants = {
-      {"simd-on", {.simd = true}},
-      {"simd-off", {.simd = false}},
-      {"simd+threads3", {.simd = true, .threads = 3}},
-      {"sharded",
-       // blocks = ceil(60/16) = 4 >= 3 threads: the fused plan/fill shard
-       // path runs (field_sharding defaults on).
-       {.gain_tile_cols = 16, .simd = true, .threads = 3}},
-      {"sharded-scalar-simd",
-       {.gain_tile_cols = 16, .simd = false, .threads = 3}},
-  };
-  for (ModelKind kind : test::all_models()) {
-    Scenario scenario(test::random_points(60, 6.0, 7301),
-                      test::config_for(kind));
-    const Channel& channel = scenario.channel();
-    const Network& network = scenario.network();
-    Rng rng(41);
-    for (const Variant& variant : variants) {
-      SlotWorkspace ws(variant.config);
-      for (int trial = 0; trial < 4; ++trial) {
-        for (double scale : {1.0, 0.3}) {
-          std::vector<NodeId> txs;
-          for (std::size_t v = 0; v < network.size(); ++v) {
-            const NodeId id(static_cast<std::uint32_t>(v));
-            if (network.alive(id) && rng.chance(0.2)) txs.push_back(id);
-          }
-          const SlotOutcome ref =
-              channel.resolve(txs, network.alive_mask(), scale);
-          const SlotOutcome& got =
-              channel.resolve_into(txs, network.alive_mask(), scale,
-                                   network.topology_epoch(), ws);
-          expect_outcomes_identical(ref, got, variant.label);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, EnvOverrideForcesScalarAndDetection) {
-  // UDWN_SIMD=0 beats the config knob in both directions; resolution
-  // happens once at workspace construction.
-  ASSERT_EQ(setenv("UDWN_SIMD", "0", 1), 0);
-  {
-    SlotWorkspace ws(SlotWorkspaceConfig{.simd = true});
-    EXPECT_EQ(ws.simd_level(), SimdLevel::kScalar);
-  }
-  ASSERT_EQ(setenv("UDWN_SIMD", "1", 1), 0);
-  {
-    SlotWorkspace ws(SlotWorkspaceConfig{.simd = false});
-    EXPECT_EQ(ws.simd_level(), detect_simd_level());
-  }
-  ASSERT_EQ(unsetenv("UDWN_SIMD"), 0);
-  {
-    SlotWorkspace off(SlotWorkspaceConfig{.simd = false});
-    EXPECT_EQ(off.simd_level(), SimdLevel::kScalar);
-    SlotWorkspace on(SlotWorkspaceConfig{.simd = true});
-    EXPECT_EQ(on.simd_level(), detect_simd_level());
   }
 }
 
 TEST(SimdDispatch, CpuFeaturesStringIsStableAndNonEmpty) {
-  const std::string features = cpu_features_string();
+  const std::string features = bench::cpu_features_string();
   EXPECT_FALSE(features.empty());
-  EXPECT_EQ(features, cpu_features_string());
+  EXPECT_EQ(features, bench::cpu_features_string());
 #if defined(__x86_64__) || defined(__i386__)
   // Any x86-64 host has SSE2 baseline.
   EXPECT_NE(features.find("sse2"), std::string::npos);

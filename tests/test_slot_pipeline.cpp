@@ -1,8 +1,8 @@
 // Property tests for the slot pipeline: Channel::resolve_into (cached /
-// grid-pruned / parallel) must be bit-for-bit identical to the brute-force
-// reference Channel::resolve under every configuration — all reception
-// models, cache and grid toggles, thread counts, power scales, and under
-// churn + mobility invalidation. Asymmetric quasi-metrics additionally must
+// grid-pruned / parallel / sharded) must be bit-for-bit identical to the
+// brute-force reference Channel::resolve under every configuration — all
+// reception models, cache and gain-table settings, thread counts, power
+// scales, and under churn + mobility invalidation. Asymmetric quasi-metrics additionally must
 // never be grid-pruned (the grid is Euclidean-only by contract).
 #include <gtest/gtest.h>
 
@@ -17,26 +17,7 @@
 namespace udwn {
 namespace {
 
-// Every field compared with exact equality: interference entries are
-// doubles and must match to the last bit, not approximately.
-void expect_outcomes_identical(const SlotOutcome& ref, const SlotOutcome& got,
-                               const char* label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(ref.transmitters.size(), got.transmitters.size());
-  for (std::size_t i = 0; i < ref.transmitters.size(); ++i)
-    EXPECT_EQ(ref.transmitters[i], got.transmitters[i]);
-  ASSERT_EQ(ref.interference.size(), got.interference.size());
-  for (std::size_t v = 0; v < ref.interference.size(); ++v) {
-    EXPECT_EQ(ref.interference[v], got.interference[v])  // bitwise, not NEAR
-        << "interference mismatch at node " << v;
-  }
-  for (std::size_t v = 0; v < ref.decoded_from.size(); ++v)
-    EXPECT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.mass_delivered.size(); ++v)
-    EXPECT_EQ(ref.mass_delivered[v], got.mass_delivered[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.clear.size(); ++v)
-    EXPECT_EQ(ref.clear[v], got.clear[v]) << "node " << v;
-}
+using test::expect_outcomes_identical;
 
 std::vector<NodeId> sample_transmitters(const Network& network, Rng& rng,
                                         double p) {
@@ -55,36 +36,32 @@ struct PipelineVariant {
 
 std::vector<PipelineVariant> all_variants() {
   return {
-      {"cache+grid", {.cache_topology = true, .use_spatial_grid = true}},
-      {"cache-only", {.cache_topology = true, .use_spatial_grid = false}},
-      {"uncached", {.cache_topology = false, .use_spatial_grid = false}},
-      {"cache+grid+threads3",
-       {.cache_topology = true, .use_spatial_grid = true, .threads = 3}},
-      {"uncached+threads2",
-       {.cache_topology = false, .use_spatial_grid = false, .threads = 2}},
-      {"scalar-kernel",
-       // Row-at-a-time kernel over the same gain table.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .soa_kernel = false}},
+      {"cache+grid", {.cache_topology = true}},
+      {"uncached", {.cache_topology = false}},
+      {"cache+grid+threads3", {.cache_topology = true, .threads = 3}},
+      {"uncached+threads2", {.cache_topology = false, .threads = 2}},
+      {"sharded",
+       // blocks = ceil(60/16) = 4 >= 3 threads: the fused plan/fill shard
+       // path (Channel::sharded_field) runs instead of the whole-field
+       // kernel.
+       {.cache_topology = true, .gain_tile_cols = 16, .threads = 3}},
       {"no-gain-table",
        // Budget 0 disables gain caching entirely while keeping the
        // neighbor cache and grid on (uncached interference kernel).
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_budget_bytes = 0}},
+       {.cache_topology = true, .gain_budget_bytes = 0}},
       {"tiled-gain-table",
        // 16-column tiles force multi-block rows at n = 60.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_tile_cols = 16}},
+       {.cache_topology = true, .gain_tile_cols = 16}},
       {"tiled-lru-pressure",
        // 60 resident tiles vs 240 logical: ensure_rows succeeds only by
        // evicting, so every slot exercises the LRU path.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_budget_bytes = 7680, .gain_tile_cols = 16}},
+       {.cache_topology = true,
+        .gain_budget_bytes = 7680,
+        .gain_tile_cols = 16}},
       {"gain-table-fallback",
        // Budget below one tile: ensure_rows always fails and the pipeline
        // falls back to the uncached kernel mid-flight.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_budget_bytes = 512}},
+       {.cache_topology = true, .gain_budget_bytes = 512}},
   };
 }
 
@@ -126,8 +103,7 @@ TEST(SlotPipeline, CacheInvalidatesUnderChurnAndMobility) {
   EuclideanMetric& metric = *scenario.euclidean();
   Rng rng(123);
 
-  SlotWorkspace ws(
-      {.cache_topology = true, .use_spatial_grid = true, .threads = 2});
+  SlotWorkspace ws({.cache_topology = true, .threads = 2});
   for (int round = 0; round < 30; ++round) {
     // Churn: toggle a random node (never leaving fewer than 2 alive).
     const NodeId victim(static_cast<std::uint32_t>(rng.below(50)));
@@ -156,7 +132,7 @@ TEST(SlotPipeline, StaleWorkspaceReusedAcrossEpochsStaysExact) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   Rng rng(5);
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
 
   for (int flip = 0; flip < 6; ++flip) {
     network.set_alive(NodeId(3), flip % 2 == 0);
@@ -183,8 +159,7 @@ TEST_P(SlotPipelineAsymmetric, MatchesReferenceAndNeverUsesGrid) {
   Rng rng(77);
 
   ASSERT_EQ(scenario.euclidean(), nullptr);
-  SlotWorkspace ws(
-      {.cache_topology = true, .use_spatial_grid = true, .threads = 2});
+  SlotWorkspace ws({.cache_topology = true, .threads = 2});
   for (int trial = 0; trial < 10; ++trial) {
     const auto txs = sample_transmitters(network, rng, 0.25);
     const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
@@ -234,7 +209,7 @@ TEST(SlotPipeline, CachedNeighborsMatchChannelNeighbors) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   Rng rng(13);
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
 
   for (int round = 0; round < 5; ++round) {
     network.set_alive(NodeId(static_cast<std::uint32_t>(rng.below(45))), round % 2 == 0);
@@ -256,7 +231,7 @@ TEST(SlotPipeline, EmptyAndFullTransmitterSets) {
   Scenario scenario(test::random_points(25, 4.0, 7007), test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
 
   const std::vector<NodeId> none;
   std::vector<NodeId> everyone;

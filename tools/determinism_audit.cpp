@@ -3,13 +3,15 @@
 //  1. Run-twice: a dynamic-broadcast scenario run twice under the same seed
 //     produces bit-for-bit identical event traces.
 //  2. Pipeline matrix: the same scenario resolved through every slot
-//     pipeline configuration — brute-force uncached, epoch-invalidated
-//     (delta_invalidation off), delta-invalidated, serial and
-//     multi-threaded kernels — yields one identical trace. This is the
-//     executable form of the resolve_into ≡ resolve contract
-//     (docs/ENGINE.md) under full dynamics: churn AND mobility invalidate
-//     the caches every round, so delta ≡ epoch ≡ uncached is checked where
-//     it matters, not on a static topology.
+//     pipeline configuration — brute-force uncached, delta-invalidated
+//     cache, serial, multi-threaded and block-sharded kernels — yields one
+//     identical trace. This is the executable form of the resolve_into ≡
+//     resolve contract (docs/ENGINE.md) under full dynamics: churn AND
+//     mobility invalidate the caches every round, so delta ≡ uncached is
+//     checked where it matters, not on a static topology.
+//  3. Reference hash: with --expect-hash H, the run-twice trace hash must
+//     equal H. Same-seed runs agreeing with each other cannot show that
+//     simulated behaviour changed; a pinned hash can.
 //
 // Builds the EXP-10 style workload (cluster chain, node churn + bounded
 // mobility, Bcast(beta) with two slots per round), runs it through
@@ -22,13 +24,15 @@
 // nondeterminism; that mode must exit nonzero.
 //
 //   determinism_audit [--seed N] [--rounds N] [--clusters N] [--threads N]
-//                     [--no-matrix] [--inject]
+//                     [--expect-hash H] [--no-matrix] [--inject]
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 
 #include <condition_variable>
@@ -60,24 +64,20 @@ struct Options {
   int threads = 4;
   bool matrix = true;
   bool inject = false;
+  /// Required trace hash of the reference run; unset = not checked.
+  std::optional<std::uint64_t> expect_hash;
 };
 
 /// Slot-pipeline knobs under audit (subset of EngineConfig).
 struct PipelineConfig {
   const char* label;
+  /// Delta-invalidated topology cache (EngineConfig::cache_topology);
+  /// false = the brute-force uncached reference path.
   bool cache_topology;
-  bool use_spatial_grid;
   int threads;
-  bool soa_kernel;
-  /// Per-node delta invalidation (EngineConfig::delta_invalidation);
-  /// false = the pure epoch-invalidation reference path.
-  bool delta_invalidation = true;
   /// Attach an Obs handle for the run: observability must be a pure
   /// observer, so the trace hash has to match the reference exactly.
   bool obs = false;
-  /// Explicit SIMD intrinsics for the SoA kernel (EngineConfig::simd);
-  /// false = autovectorized reference. Both must hash identically.
-  bool simd = true;
   /// Certified far-field approximation (EngineConfig::far_field_eps).
   /// Nonzero rows are NOT compared against the exact reference — only
   /// against each other (self-determinism across thread counts).
@@ -112,10 +112,6 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
                              .seed = options.seed,
                              .threads = pipeline.threads,
                              .cache_topology = pipeline.cache_topology,
-                             .delta_invalidation = pipeline.delta_invalidation,
-                             .use_spatial_grid = pipeline.use_spatial_grid,
-                             .soa_kernel = pipeline.soa_kernel,
-                             .simd = pipeline.simd,
                              .far_field_eps = pipeline.far_field_eps,
                              .far_field_cell_factor =
                                  pipeline.far_field_cell_factor,
@@ -146,33 +142,18 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
   }
 }
 
-/// Pipeline matrix: one trace per configuration, all compared against the
-/// brute-force serial reference. Any divergence is a bug in the cache /
-/// grid / parallel kernels, not scheduling noise — the contract is
-/// bit-exact equality.
-int run_pipeline_matrix(const Options& options) {
-  const PipelineConfig configs[] = {
-      {"uncached-serial", false, false, 1, false, false},
-      {"epoch-serial", true, true, 1, false, /*delta=*/false},
-      {"delta-serial", true, true, 1, false, /*delta=*/true},
-      {"soa-kernel", true, true, 1, true, true},
-      {"epoch-threads", true, true, options.threads, true, /*delta=*/false},
-      {"delta-threads", true, true, options.threads, true, /*delta=*/true},
-      {"obs-on", true, true, options.threads, true, true, /*obs=*/true},
-      {"simd-off", true, true, options.threads, true, true, false,
-       /*simd=*/false},
-      // 8-column tiles: blocks = ceil(n/8) >= threads at audit sizes, so
-      // the fused plan/fill shard path runs every slot.
-      {"sharded", true, true, options.threads, true, true, false, true, 0.0,
-       2.0, /*gain_tile_cols=*/8},
-  };
-  std::vector<TraceHashRecorder> traces(std::size(configs));
-  for (std::size_t i = 0; i < std::size(configs); ++i)
+/// Run every configuration and compare each trace with the first one's,
+/// one report line each. Returns 0 when all match, 1 otherwise.
+int audit_against_first(const Options& options,
+                        std::span<const PipelineConfig> configs,
+                        const char* heading) {
+  std::vector<TraceHashRecorder> traces(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i)
     run_dynamic_broadcast(options, /*perturb=*/false, configs[i], traces[i]);
 
   int failures = 0;
-  std::cout << "  pipeline matrix (reference: " << configs[0].label << ")\n";
-  for (std::size_t i = 1; i < std::size(configs); ++i) {
+  std::cout << "  " << heading << "reference: " << configs[0].label << ")\n";
+  for (std::size_t i = 1; i < configs.size(); ++i) {
     const DeterminismReport report =
         DeterminismAuditor::compare(traces[0], traces[i]);
     std::cout << "    vs " << configs[i].label << ": " << to_string(report)
@@ -182,34 +163,41 @@ int run_pipeline_matrix(const Options& options) {
   return failures == 0 ? 0 : 1;
 }
 
+/// Pipeline matrix: one trace per configuration, all compared against the
+/// brute-force serial reference. Any divergence is a bug in the cache /
+/// grid / parallel kernels, not scheduling noise — the contract is
+/// bit-exact equality.
+int run_pipeline_matrix(const Options& options) {
+  const PipelineConfig configs[] = {
+      {"uncached-serial", false, 1},
+      {"delta-serial", true, 1},
+      {"delta-threads", true, options.threads},
+      {"obs-on", true, options.threads, /*obs=*/true},
+      // 8-column tiles: blocks = ceil(n/8) >= threads at audit sizes, so
+      // the fused plan/fill shard path runs every slot.
+      {"sharded", true, options.threads, false, 0.0, 2.0,
+       /*gain_tile_cols=*/8},
+  };
+  return audit_against_first(options, configs, "pipeline matrix (");
+}
+
 /// Far-field group: ε-certified approximate rounds are NOT bit-identical
 /// to the exact reference (only certified against it, see far_field.h), so
 /// the audit here is self-determinism: serial, threaded, and a threaded
 /// repeat must produce one identical trace — the approximation must be a
 /// pure function of the seed, never of scheduling.
 int run_far_field_group(const Options& options) {
-  PipelineConfig serial{"far-field-serial", true, true, 1, true};
+  PipelineConfig serial{"far-field-serial", true, 1};
   serial.far_field_eps = 0.5;
   serial.far_field_cell_factor = 0.25;  // ρ inside the chain extent
   PipelineConfig threaded = serial;
   threaded.label = "far-field-threads";
   threaded.threads = options.threads;
-  const PipelineConfig configs[] = {serial, threaded, threaded};
-  std::vector<TraceHashRecorder> traces(std::size(configs));
-  for (std::size_t i = 0; i < std::size(configs); ++i)
-    run_dynamic_broadcast(options, /*perturb=*/false, configs[i], traces[i]);
-
-  int failures = 0;
-  std::cout << "  far-field self-determinism (eps=0.5, reference: "
-            << configs[0].label << ")\n";
-  for (std::size_t i = 1; i < std::size(configs); ++i) {
-    const DeterminismReport report =
-        DeterminismAuditor::compare(traces[0], traces[i]);
-    std::cout << "    vs " << configs[i].label << (i == 2 ? " (repeat)" : "")
-              << ": " << to_string(report) << "\n";
-    if (!report.deterministic) ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  PipelineConfig repeat = threaded;
+  repeat.label = "far-field-threads (repeat)";
+  const PipelineConfig configs[] = {serial, threaded, repeat};
+  return audit_against_first(options, configs,
+                             "far-field self-determinism (eps=0.5, ");
 }
 
 /// Batch check: K trials through BatchRunner(threads) must produce exactly
@@ -217,7 +205,7 @@ int run_far_field_group(const Options& options) {
 /// seed-stream discipline sim/batch.h documents.
 int run_batch_check(const Options& options) {
   constexpr std::size_t kTrials = 3;
-  const PipelineConfig pipeline{"cached+grid-serial", true, true, 1, true};
+  const PipelineConfig pipeline{"cached+grid-serial", true, 1};
   const auto seeds = BatchRunner::trial_seeds(options.seed, kTrials);
 
   auto trial_hash = [&](std::size_t k) {
@@ -360,12 +348,13 @@ int run_svc_group(const Options& options) {
 /// randomness, so beyond the usual pipeline shapes even a DIFFERENT ENGINE
 /// SEED must hash identically. The opportunistic protocol draws real
 /// probabilities under churn, so its contract is the standard one: a pure
-/// function of the seed across delta/epoch invalidation and thread counts.
+/// function of the seed across the cached and uncached pipelines and thread
+/// counts.
 int run_baselines_group(const Options& options) {
   struct Shape {
     const char* label;
     int threads;
-    bool delta;
+    bool cached;
     std::uint64_t seed;
   };
   const std::uint64_t base_seed = options.seed;
@@ -385,7 +374,7 @@ int run_baselines_group(const Options& options) {
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                   EngineConfig{.seed = shape.seed,
                                .threads = shape.threads,
-                               .delta_invalidation = shape.delta});
+                               .cache_topology = shape.cached});
     TIntervalAdversary adversary(*matrix, {.interval = 4});
     adversary.set_frontier([&protocols](NodeId v) {
       return static_cast<const JksBroadcastProtocol&>(*protocols[v.value])
@@ -410,7 +399,7 @@ int run_baselines_group(const Options& options) {
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                   EngineConfig{.seed = shape.seed,
                                .threads = shape.threads,
-                               .delta_invalidation = shape.delta});
+                               .cache_topology = shape.cached});
     ChurnDynamics churn({.arrival_rate = 0.05,
                          .departure_rate = 0.05,
                          .pinned = {source}});
@@ -425,7 +414,7 @@ int run_baselines_group(const Options& options) {
     TraceHashRecorder ref_trace;
     runner(reference, ref_trace);
     std::vector<Shape> rows = {
-        {"serial-epoch", 1, false, base_seed},
+        {"serial-uncached", 1, false, base_seed},
         {"threads", options.threads, true, base_seed},
         {"threads (repeat)", options.threads, true, base_seed},
     };
@@ -452,7 +441,7 @@ int run_baselines_group(const Options& options) {
 }
 
 int run(const Options& options) {
-  const PipelineConfig reference{"cached+grid-serial", true, true, 1, true};
+  const PipelineConfig reference{"cached+grid-serial", true, 1};
   int call = 0;
   const DeterminismReport report = DeterminismAuditor::audit(
       [&](TraceHashRecorder& recorder) {
@@ -464,6 +453,13 @@ int run(const Options& options) {
             << ", " << options.rounds << " rounds, " << options.clusters
             << " clusters" << (options.inject ? ", INJECTED FAULT" : "")
             << "\n  " << to_string(report) << "\n";
+  if (options.expect_hash.has_value() &&
+      report.final_hash_a != *options.expect_hash) {
+    std::cout << "  ERROR: reference trace hash " << report.final_hash_a
+              << " differs from the expected " << *options.expect_hash
+              << "\n";
+    return 1;
+  }
 
   if (options.inject) {
     // Self-test mode: success means the fault was *detected*. The matrix is
@@ -492,7 +488,8 @@ namespace {
 [[noreturn]] void usage_error(const char* detail) {
   std::cerr << "determinism_audit: " << detail << "\n"
             << "usage: determinism_audit [--seed N] [--rounds N] "
-               "[--clusters N] [--threads N] [--no-matrix] [--inject]\n";
+               "[--clusters N] [--threads N] [--expect-hash H] "
+               "[--no-matrix] [--inject]\n";
   std::exit(2);
 }
 
@@ -524,6 +521,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads" && has_value) {
       options.threads = static_cast<int>(parse_u64("--threads", argv[++i]));
       if (options.threads < 1) usage_error("--threads must be >= 1");
+    } else if (arg == "--expect-hash" && has_value) {
+      options.expect_hash = parse_u64("--expect-hash", argv[++i]);
     } else if (arg == "--no-matrix") {
       options.matrix = false;
     } else if (arg == "--inject") {
