@@ -123,7 +123,7 @@ void BM_EngineRoundMobility(benchmark::State& state) {
   });
   const CarrierSensing cs = s.sensing_local();
   Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 5, .gain_tile_cols = 1024});
+                EngineConfig{.seed = 5, .gains = {.tile_cols = 1024}});
   WaypointMobility mobility(*s.euclidean(), {.speed = 0.01,
                                              .extent = extent,
                                              .mobile_fraction = 1.0 / 32.0});
@@ -148,7 +148,7 @@ void BM_EngineRoundChurn(benchmark::State& state) {
   });
   const CarrierSensing cs = s.sensing_local();
   Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 6, .gain_tile_cols = 1024});
+                EngineConfig{.seed = 6, .gains = {.tile_cols = 1024}});
   ChurnDynamics churn({.arrival_rate = 1.0,
                        .departure_rate = 1.0,
                        .placement_extent = extent});

@@ -34,10 +34,7 @@ Channel::Channel(const QuasiMetric& metric, const PathLoss& pathloss,
 }
 
 SlotWorkspace::SlotWorkspace(SlotWorkspaceConfig config)
-    : config_(config),
-      cache_(TopologyCache::Config{
-          .gain_budget_bytes = config.gain_budget_bytes,
-          .gain_tile_cols = config.gain_tile_cols}) {
+    : config_(config), cache_(config.gains) {
   UDWN_EXPECT(config.threads >= 1);
   if (config.threads > 1)
     pool_ = std::make_unique<TaskPool>(config.threads);

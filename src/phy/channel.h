@@ -62,13 +62,8 @@ struct SlotWorkspaceConfig {
   /// candidates on Euclidean instances) instead of re-deriving them per
   /// slot. false is the uncached reference, bit-identical and slower.
   bool cache_topology = true;
-  /// Memory budget for the tiled LRU gain table (see gain_table.h);
-  /// 0 disables gain caching. Any instance size is cached within budget —
-  /// this replaces the old hard gain_cache_max_nodes = 4096 cliff.
-  std::size_t gain_budget_bytes = std::size_t{128} << 20;
-  /// Listener columns per gain tile (power of two). Small values exist for
-  /// tests that exercise multi-block rows at small n.
-  std::size_t gain_tile_cols = 4096;
+  /// Tiled LRU gain table settings (gain_table.h); budget 0 disables it.
+  GainTable::Config gains;
   /// Certified far-field approximation (see far_field.h): aggregate
   /// transmitters beyond a derived separation radius per spatial cell, with
   /// worst-case relative field error <= far_field_eps. 0 (default) = exact.

@@ -32,12 +32,11 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   pathloss_ = &pathloss;
   euclidean_ = dynamic_cast<const EuclideanMetric*>(&metric);
   n_ = metric.size();
-  tile_cols_ = config_.tile_cols;
-  col_shift_ = log2_of(tile_cols_);
-  blocks_ = n_ == 0 ? 0 : (n_ + tile_cols_ - 1) / tile_cols_;
+  col_shift_ = log2_of(config_.tile_cols);
+  blocks_ = n_ == 0 ? 0 : (n_ + config_.tile_cols - 1) / config_.tile_cols;
   // One full row per slot when a row fits a single tile — no ragged waste
   // for the common n <= tile_cols case.
-  stride_ = blocks_ == 1 ? n_ : tile_cols_;
+  stride_ = blocks_ == 1 ? n_ : config_.tile_cols;
   max_tiles_ =
       stride_ == 0 ? 0 : config_.budget_bytes / (stride_ * sizeof(double));
   max_tiles_ = std::min(max_tiles_, n_ * blocks_);
@@ -52,7 +51,7 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
     if (!warned_disabled_) {
       warned_disabled_ = true;
       std::fprintf(stderr,
-                   "udwn: gain_budget_bytes=%zu holds %zu tiles but one row "
+                   "udwn: gains.budget_bytes=%zu holds %zu tiles but one row "
                    "of n=%zu needs %zu; gain caching disabled, computing "
                    "gains per lookup\n",
                    config_.budget_bytes, max_tiles_, n_, blocks_);

@@ -68,11 +68,12 @@ class GainTable {
  public:
   struct Config {
     /// Listener columns per tile; must be a power of two. One tile is
-    /// tile_cols * 8 bytes (32 KiB at the default).
+    /// tile_cols * 8 bytes (32 KiB at the default). Narrower tiles localize
+    /// delta invalidation (a mover dirties only the tiles whose columns
+    /// contain it) at the cost of more tile bookkeeping per slot.
     std::size_t tile_cols = 4096;
-    /// Upper bound on resident tile storage. 0 disables the table. The
-    /// default keeps the old flat-table footprint (n=4096 → 128 MiB) but
-    /// now bounds *any* n instead of gating on it.
+    /// Upper bound on resident tile storage, for any n; 0 disables the
+    /// table. The default is the footprint of the old flat n = 4096 table.
     std::size_t budget_bytes = std::size_t{128} << 20;
   };
 
@@ -93,11 +94,11 @@ class GainTable {
   [[nodiscard]] std::size_t blocks() const { return blocks_; }
   /// First listener column of block b.
   [[nodiscard]] std::size_t block_begin(std::size_t b) const {
-    return b * tile_cols_;
+    return b * config_.tile_cols;
   }
   /// Number of listener columns in block b (the last block may be ragged).
   [[nodiscard]] std::size_t block_cols(std::size_t b) const {
-    return b + 1 == blocks_ ? n_ - b * tile_cols_ : tile_cols_;
+    return b + 1 == blocks_ ? n_ - b * config_.tile_cols : config_.tile_cols;
   }
 
   /// Make every tile of every source row resident and fresh, filling stale
@@ -165,7 +166,6 @@ class GainTable {
   /// per-tile and per-node metadata (never while the table goes unread).
   [[nodiscard]] bool materialized() const { return !tile_slot_.empty(); }
   [[nodiscard]] std::size_t max_tiles() const { return max_tiles_; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Lifetime cache statistics, maintained unconditionally (plain integer
   /// bumps on the serial ensure_rows path — cheap enough to always keep).
@@ -214,8 +214,7 @@ class GainTable {
 
   std::size_t n_ = 0;
   std::size_t blocks_ = 0;
-  std::size_t tile_cols_ = 0;   // == config_.tile_cols
-  std::uint32_t col_shift_ = 0;  // log2(tile_cols_)
+  std::uint32_t col_shift_ = 0;  // log2(config_.tile_cols)
   std::size_t stride_ = 0;      // doubles per slot (== n_ when blocks_ == 1)
   std::size_t max_tiles_ = 0;
   bool enabled_ = false;

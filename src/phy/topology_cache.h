@@ -50,17 +50,7 @@ namespace udwn {
 
 class TopologyCache {
  public:
-  struct Config {
-    /// Memory bound for the tiled gain table (see gain_table.h); 0 disables
-    /// gain caching entirely. Replaces the old hard n <= 4096 cliff: any
-    /// instance size gets LRU-cached gain rows within this budget.
-    std::size_t gain_budget_bytes = std::size_t{128} << 20;
-    /// Listener columns per gain tile (power of two).
-    std::size_t gain_tile_cols = 4096;
-  };
-
-  TopologyCache() : TopologyCache(Config{}) {}
-  explicit TopologyCache(Config config);
+  explicit TopologyCache(GainTable::Config gains) : gains_(gains) {}
 
   /// Bind to a topology and refresh bookkeeping. Cheap when nothing
   /// changed; called once per slot. `comm_radius` is the neighborhood

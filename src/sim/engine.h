@@ -52,34 +52,19 @@ struct EngineConfig {
   /// Upper bound on the ratio of round lengths (paper: 2).
   double drift_bound = 2.0;
   std::uint64_t seed = 1;
-  /// Worker threads for the slot pipeline's interference/decode kernels
-  /// (including the calling thread); 1 = serial. Every value produces
-  /// bit-identical traces (enforced by tools/determinism_audit).
+  // Slot-pipeline settings, handed to the engine's SlotWorkspace as they
+  // are; SlotWorkspaceConfig (phy/channel.h) documents each. Every value of
+  // threads, cache_topology and gains yields bit-identical traces (enforced
+  // by tools/determinism_audit).
   int threads = 1;
-  /// Serve neighborhoods/gains from the TopologyCache, invalidated per
-  /// node: each round the engine folds the metric's DirtyLog and the alive
-  /// churn into a TopologyDelta and freshens everything the delta proves
-  /// untouched (TopologyCache::apply_delta), so invalidation work scales
-  /// with the number of changed nodes instead of n; a delta that cannot be
-  /// localized falls back to epoch invalidation. A SpatialGrid prunes
-  /// decode/clear candidates on Euclidean instances. Off = brute-force
-  /// re-derivation per slot, the uncached reference (same bits, slower).
+  /// With the cache on, the engine also folds each round's DirtyLog moves
+  /// and alive churn into a TopologyDelta, so invalidation work scales with
+  /// the changed nodes instead of n (TopologyCache::apply_delta; a delta
+  /// that cannot be localized falls back to epoch invalidation).
   bool cache_topology = true;
-  /// Certified far-field approximation: aggregate transmitters beyond a
-  /// derived separation radius per spatial cell with worst-case relative
-  /// field error <= far_field_eps (see far_field.h for the bound's
-  /// derivation). 0 (default) = exact. Approximate rounds are
-  /// self-deterministic across thread counts but not bit-identical to the
-  /// exact reference — only ε-certified against it (both audited).
   double far_field_eps = 0.0;
-  /// Far-field aggregation cell side as a multiple of the model max range.
   double far_field_cell_factor = 2.0;
-  /// Memory budget for the tiled LRU gain table; 0 disables gain caching.
-  std::size_t gain_budget_bytes = std::size_t{128} << 20;
-  /// Listener columns per gain tile (power of two). Narrower tiles localize
-  /// delta invalidation — a mover dirties only the tiles whose column range
-  /// contains it — at the cost of more tile bookkeeping per slot.
-  std::size_t gain_tile_cols = 4096;
+  GainTable::Config gains;
   /// Observability handle (obs/obs.h): counters, histograms and the binary
   /// round-event trace. Null (the default) disables all instrumentation —
   /// the off path is a branch on this pointer per site, with zero

@@ -109,7 +109,7 @@ TrialRecord run_trial(const RunRequest& request, const ExecConfig& exec,
                 EngineConfig{.slots_per_round = broadcast ? 2 : 1,
                              .seed = trial_seed,
                              .threads = 1,  // trial-level parallelism only
-                             .gain_budget_bytes = exec.gain_budget_bytes,
+                             .gains = {.budget_bytes = exec.gain_budget_bytes},
                              .obs = exec.obs});
 
   ChurnDynamics churn({.arrival_rate = request.dynamics.churn_rate,

@@ -40,16 +40,12 @@ bool jks_informed(const Protocol& p) {
   return static_cast<const JksBroadcastProtocol&>(p).informed();
 }
 
-struct ArenaRunOptions {
-  std::uint64_t seed = 7;
-  int threads = 1;
-  bool cached = true;
-  Round rounds = 120;
-};
+constexpr std::uint64_t kArenaSeed = 7;
+constexpr Round kArenaRounds = 120;
 
 /// JKS broadcast under the frontier-driven TIntervalAdversary — the full
 /// arena pipeline in one closure, hashed.
-void run_jks_adversary(const ArenaRunOptions& options,
+void run_jks_adversary(const EngineConfig& config,
                        TraceHashRecorder& recorder) {
   Scenario scenario(std::make_unique<MatrixMetric>(
                         kNodes, isolated_distances(kNodes, 1.0e6)),
@@ -59,20 +55,18 @@ void run_jks_adversary(const ArenaRunOptions& options,
   auto protocols = jks_protocols(kNodes, source);
   const CarrierSensing sensing = scenario.sensing_local();
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                EngineConfig{.seed = options.seed,
-                             .threads = options.threads,
-                             .cache_topology = options.cached});
+                config);
   TIntervalAdversary adversary(*matrix, {.interval = 4});
   adversary.set_frontier(
       [&protocols](NodeId v) { return jks_informed(*protocols[v.value]); });
   engine.set_dynamics(&adversary);
   engine.set_recorder(&recorder);
-  for (Round r = 0; r < options.rounds; ++r) engine.step();
+  for (Round r = 0; r < kArenaRounds; ++r) engine.step();
 }
 
-std::uint64_t jks_adversary_hash(const ArenaRunOptions& options) {
+std::uint64_t jks_adversary_hash(const EngineConfig& config) {
   TraceHashRecorder recorder;
-  run_jks_adversary(options, recorder);
+  run_jks_adversary(config, recorder);
   return recorder.final_hash();
 }
 
@@ -129,13 +123,15 @@ TEST(JksBroadcast, CompletesOnStaticChain) {
 }
 
 TEST(JksBroadcast, BitIdenticalAcrossThreadsRepeatsAndEngineSeeds) {
-  const std::uint64_t serial = jks_adversary_hash({});
+  const std::uint64_t serial = jks_adversary_hash({.seed = kArenaSeed});
   // Repeat: same everything.
-  EXPECT_EQ(jks_adversary_hash({}), serial);
+  EXPECT_EQ(jks_adversary_hash({.seed = kArenaSeed}), serial);
   // Threads 4: slot pipeline parallelism must not shift a single bit.
-  EXPECT_EQ(jks_adversary_hash({.threads = 4}), serial);
+  EXPECT_EQ(jks_adversary_hash({.seed = kArenaSeed, .threads = 4}), serial);
   // Delta-invalidated cache vs the uncached pipeline.
-  EXPECT_EQ(jks_adversary_hash({.cached = false}), serial);
+  EXPECT_EQ(
+      jks_adversary_hash({.seed = kArenaSeed, .cache_topology = false}),
+      serial);
   // The strong form: JKS never consumes engine randomness ({0,1}
   // probabilities short-circuit Rng::chance), so even the ENGINE SEED does
   // not matter — the whole arena cell is schedule-determined.
@@ -144,7 +140,9 @@ TEST(JksBroadcast, BitIdenticalAcrossThreadsRepeatsAndEngineSeeds) {
 
 TEST(JksBroadcast, AuditorConfirmsDeterminism) {
   const DeterminismReport report = DeterminismAuditor::audit(
-      [](TraceHashRecorder& recorder) { run_jks_adversary({}, recorder); });
+      [](TraceHashRecorder& recorder) {
+        run_jks_adversary({.seed = kArenaSeed}, recorder);
+      });
   EXPECT_TRUE(report.deterministic);
   EXPECT_EQ(report.first_divergence, -1);
 }

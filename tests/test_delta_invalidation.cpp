@@ -562,7 +562,7 @@ TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
   network.set_track_changes(true);
   // Small tiles force multi-block gain rows so apply_delta's per-block
   // column filtering is actually exercised at n = 60.
-  SlotWorkspace ws(SlotWorkspaceConfig{.gain_tile_cols = 16});
+  SlotWorkspace ws(SlotWorkspaceConfig{.gains = {.tile_cols = 16}});
   Rng rng(9);
   for (int round = 0; round < 40; ++round) {
     SCOPED_TRACE(round);

@@ -157,7 +157,7 @@ TEST_P(PatchedTileSteadyStateAllocation, ResolveIntoPerformsNoHeapAllocation) {
   Network& network = scenario.network();
   EuclideanMetric& metric = *scenario.euclidean();
   network.set_track_changes(true);
-  SlotWorkspace ws({.gain_tile_cols = 16, .threads = GetParam()});
+  SlotWorkspace ws({.gains = {.tile_cols = 16}, .threads = GetParam()});
 
   // Four movers oscillate between two positions and eight transmitter sets
   // rotate, so rounds repeat with period 8 and warm-up sees every state.
@@ -258,8 +258,7 @@ TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
   SlotWorkspace ws({.cache_topology = true,
-                    .gain_budget_bytes = 10240,
-                    .gain_tile_cols = 16});
+                    .gains = {.tile_cols = 16, .budget_bytes = 10240}});
 
   std::vector<std::vector<NodeId>> tx_sets;
   Rng rng(8105);
@@ -315,13 +314,11 @@ TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
   EXPECT_EQ(reference,
             engine_trace_hash(EngineConfig{
                 .seed = 3, .threads = 2, .cache_topology = false}));
-  // Kernel and gain-table variants: the block-sharded field (4 blocks of
-  // 16 columns over 3 threads) and the table disabled reproduce the same
-  // trace.
-  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
-                           .seed = 3, .threads = 3, .gain_tile_cols = 16}));
-  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
-                           .seed = 3, .gain_budget_bytes = 0}));
+  // The block-sharded field (4 blocks of 16 columns over 3 threads)
+  // reproduces the same trace.
+  EXPECT_EQ(reference,
+            engine_trace_hash(EngineConfig{
+                .seed = 3, .threads = 3, .gains = {.tile_cols = 16}}));
   // Observability must be a pure observer: attaching an Obs handle (alone
   // and combined with threads) cannot change the ground-truth trace.
   Obs obs(ObsConfig{.state_transitions = true});
@@ -330,6 +327,22 @@ TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
   Obs obs_threaded;
   EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
                            .seed = 3, .threads = 2, .obs = &obs_threaded}));
+
+  // Gain-table variants keep the trace too, so only the table's counters
+  // show that the settings reach it: budget 0 fills nothing, and 16-column
+  // tiles (4 blocks at n = 56) fill four tiles for every row the default
+  // fills once (static topology, everything fits the budget).
+  const auto gain_fills = [&](EngineConfig config) {
+    Obs counted;
+    config.obs = &counted;
+    EXPECT_EQ(reference, engine_trace_hash(config));
+    return counted.metrics().total(counted.ids().gain_fills);
+  };
+  const std::uint64_t default_fills = gain_fills({.seed = 3});
+  EXPECT_GT(default_fills, 0u);
+  EXPECT_EQ(gain_fills({.seed = 3, .gains = {.budget_bytes = 0}}), 0u);
+  EXPECT_EQ(gain_fills({.seed = 3, .gains = {.tile_cols = 16}}),
+            4 * default_fills);
 }
 
 }  // namespace

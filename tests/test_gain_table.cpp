@@ -268,7 +268,7 @@ TEST(GainTable, PipelineFallsBackExactlyWhenBudgetTooSmall) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
 
-  SlotWorkspace ws({.cache_topology = true, .gain_budget_bytes = 1024});
+  SlotWorkspace ws({.cache_topology = true, .gains = {.budget_bytes = 1024}});
   Rng rng(610);
   std::vector<NodeId> txs;
   for (std::uint32_t v = 0; v < n; ++v)
@@ -321,7 +321,7 @@ TEST(GainTable, SubRowBudgetPipelineStaysExact) {
                     test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.gain_budget_bytes = 4 * 16 * 8, .gain_tile_cols = 16});
+  SlotWorkspace ws({.gains = {.tile_cols = 16, .budget_bytes = 4 * 16 * 8}});
   Rng rng(613);
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<NodeId> txs;

@@ -402,7 +402,7 @@ TEST(EngineObs, EventStreamIsIdenticalAcrossThreadsAndKernels) {
                 ->snapshot().events);
   EXPECT_EQ(reference, run_observed(EngineConfig{.seed = 3,
                                                  .threads = 4,
-                                                 .gain_tile_cols = 16})
+                                                 .gains = {.tile_cols = 16}})
                            ->snapshot().events);
 }
 
@@ -424,7 +424,7 @@ TEST(EngineObs, WorkerShardSpansAreOptInAndTagged) {
                   EngineConfig{.slots_per_round = 2,
                                .seed = 9,
                                .threads = 3,
-                               .gain_tile_cols = 16,
+                               .gains = {.tile_cols = 16},
                                .obs = &obs});
     for (int r = 0; r < 5; ++r) engine.step();
     std::vector<TraceEvent> spans;

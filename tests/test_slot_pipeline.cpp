@@ -44,24 +44,23 @@ std::vector<PipelineVariant> all_variants() {
        // blocks = ceil(60/16) = 4 >= 3 threads: the fused plan/fill shard
        // path (Channel::sharded_field) runs instead of the whole-field
        // kernel.
-       {.cache_topology = true, .gain_tile_cols = 16, .threads = 3}},
+       {.cache_topology = true, .gains = {.tile_cols = 16}, .threads = 3}},
       {"no-gain-table",
        // Budget 0 disables gain caching entirely while keeping the
        // neighbor cache and grid on (uncached interference kernel).
-       {.cache_topology = true, .gain_budget_bytes = 0}},
+       {.cache_topology = true, .gains = {.budget_bytes = 0}}},
       {"tiled-gain-table",
        // 16-column tiles force multi-block rows at n = 60.
-       {.cache_topology = true, .gain_tile_cols = 16}},
+       {.cache_topology = true, .gains = {.tile_cols = 16}}},
       {"tiled-lru-pressure",
        // 60 resident tiles vs 240 logical: ensure_rows succeeds only by
        // evicting, so every slot exercises the LRU path.
        {.cache_topology = true,
-        .gain_budget_bytes = 7680,
-        .gain_tile_cols = 16}},
+        .gains = {.tile_cols = 16, .budget_bytes = 7680}}},
       {"gain-table-fallback",
        // Budget below one tile: ensure_rows always fails and the pipeline
        // falls back to the uncached kernel mid-flight.
-       {.cache_topology = true, .gain_budget_bytes = 512}},
+       {.cache_topology = true, .gains = {.budget_bytes = 512}}},
   };
 }
 

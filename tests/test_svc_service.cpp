@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "svc/exec.h"
 #include "svc/json.h"
 #include "svc/request.h"
 
@@ -324,6 +325,18 @@ TEST(SvcService, TrialRecordBytesAreInvariantAcrossServiceShape) {
   ASSERT_EQ(runs[0].size(), 5u);
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
+
+  // Records do not depend on the gain budget, so only the engine's
+  // gain-table counters show that ExecConfig::gain_budget_bytes reaches it.
+  const ParsedRequest parsed = run_line(line);
+  const auto gain_fills = [&](std::size_t budget) {
+    Obs obs;
+    (void)run_trial(*parsed.run, {.gain_budget_bytes = budget, .obs = &obs},
+                    /*trial_seed=*/99, /*trial_index=*/0);
+    return obs.metrics().total(obs.ids().gain_fills);
+  };
+  EXPECT_GT(gain_fills(ExecConfig{}.gain_budget_bytes), 0u);
+  EXPECT_EQ(gain_fills(0), 0u);
 }
 
 }  // namespace

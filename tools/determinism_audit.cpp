@@ -68,25 +68,14 @@ struct Options {
   std::optional<std::uint64_t> expect_hash;
 };
 
-/// Slot-pipeline knobs under audit (subset of EngineConfig).
+/// One audited slot-pipeline configuration. run_dynamic_broadcast
+/// overrides only the engine's seed, slots_per_round and obs handle.
 struct PipelineConfig {
   const char* label;
-  /// Delta-invalidated topology cache (EngineConfig::cache_topology);
-  /// false = the brute-force uncached reference path.
-  bool cache_topology;
-  int threads;
+  EngineConfig engine;
   /// Attach an Obs handle for the run: observability must be a pure
   /// observer, so the trace hash has to match the reference exactly.
   bool obs = false;
-  /// Certified far-field approximation (EngineConfig::far_field_eps).
-  /// Nonzero rows are NOT compared against the exact reference — only
-  /// against each other (self-determinism across thread counts).
-  double far_field_eps = 0.0;
-  /// Far-field cell side as a multiple of the model max range.
-  double far_field_cell_factor = 2.0;
-  /// Gain tile width: small values force multi-block rows at audit sizes
-  /// so the sharded field path (threads > 1, blocks >= threads) engages.
-  std::size_t gain_tile_cols = 4096;
 };
 
 void run_dynamic_broadcast(const Options& options, bool perturb,
@@ -107,16 +96,12 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
   std::unique_ptr<Obs> obs;
   if (pipeline.obs)
     obs = std::make_unique<Obs>(ObsConfig{.state_transitions = true});
+  EngineConfig config = pipeline.engine;
+  config.slots_per_round = 2;
+  config.seed = options.seed;
+  config.obs = obs.get();
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                EngineConfig{.slots_per_round = 2,
-                             .seed = options.seed,
-                             .threads = pipeline.threads,
-                             .cache_topology = pipeline.cache_topology,
-                             .far_field_eps = pipeline.far_field_eps,
-                             .far_field_cell_factor =
-                                 pipeline.far_field_cell_factor,
-                             .gain_tile_cols = pipeline.gain_tile_cols,
-                             .obs = obs.get()});
+                config);
 
   ChurnDynamics churn({.arrival_rate = 0.05,
                        .departure_rate = 0.05,
@@ -169,14 +154,13 @@ int audit_against_first(const Options& options,
 /// bit-exact equality.
 int run_pipeline_matrix(const Options& options) {
   const PipelineConfig configs[] = {
-      {"uncached-serial", false, 1},
-      {"delta-serial", true, 1},
-      {"delta-threads", true, options.threads},
-      {"obs-on", true, options.threads, /*obs=*/true},
+      {"uncached-serial", {.cache_topology = false}},
+      {"delta-serial", {}},
+      {"delta-threads", {.threads = options.threads}},
+      {"obs-on", {.threads = options.threads}, /*obs=*/true},
       // 8-column tiles: blocks = ceil(n/8) >= threads at audit sizes, so
       // the fused plan/fill shard path runs every slot.
-      {"sharded", true, options.threads, false, 0.0, 2.0,
-       /*gain_tile_cols=*/8},
+      {"sharded", {.threads = options.threads, .gains = {.tile_cols = 8}}},
   };
   return audit_against_first(options, configs, "pipeline matrix (");
 }
@@ -187,15 +171,14 @@ int run_pipeline_matrix(const Options& options) {
 /// repeat must produce one identical trace — the approximation must be a
 /// pure function of the seed, never of scheduling.
 int run_far_field_group(const Options& options) {
-  PipelineConfig serial{"far-field-serial", true, 1};
-  serial.far_field_eps = 0.5;
-  serial.far_field_cell_factor = 0.25;  // ρ inside the chain extent
-  PipelineConfig threaded = serial;
-  threaded.label = "far-field-threads";
+  // Cell factor 0.25 keeps ρ inside the chain extent.
+  const EngineConfig serial{.far_field_eps = 0.5,
+                            .far_field_cell_factor = 0.25};
+  EngineConfig threaded = serial;
   threaded.threads = options.threads;
-  PipelineConfig repeat = threaded;
-  repeat.label = "far-field-threads (repeat)";
-  const PipelineConfig configs[] = {serial, threaded, repeat};
+  const PipelineConfig configs[] = {{"far-field-serial", serial},
+                                    {"far-field-threads", threaded},
+                                    {"far-field-threads (repeat)", threaded}};
   return audit_against_first(options, configs,
                              "far-field self-determinism (eps=0.5, ");
 }
@@ -205,7 +188,7 @@ int run_far_field_group(const Options& options) {
 /// seed-stream discipline sim/batch.h documents.
 int run_batch_check(const Options& options) {
   constexpr std::size_t kTrials = 3;
-  const PipelineConfig pipeline{"cached+grid-serial", true, 1};
+  const PipelineConfig pipeline{"cached+grid-serial", {}};
   const auto seeds = BatchRunner::trial_seeds(options.seed, kTrials);
 
   auto trial_hash = [&](std::size_t k) {
@@ -292,22 +275,21 @@ int run_svc_group(const Options& options) {
 
   struct Shape {
     const char* label;
-    int workers;
-    int trial_threads;
-    std::uint32_t progress_every;
+    svc::ServiceConfig service;
   };
   const Shape shapes[] = {
-      {"svc(workers=1,pool=1,block=32)", 1, 1, 32},
-      {"svc(workers=2,pool=4,block=1)", 2, options.threads, 1},
-      {"svc(workers=4,pool=2,block=3)", 4, 2, 3},
+      {"svc(workers=1,pool=1,block=32)",
+       {.workers = 1, .trial_threads = 1, .progress_every = 32}},
+      {"svc(workers=2,pool=4,block=1)",
+       {.workers = 2, .trial_threads = options.threads, .progress_every = 1}},
+      {"svc(workers=4,pool=2,block=3)",
+       {.workers = 4, .trial_threads = 2, .progress_every = 3}},
   };
 
   int failures = 0;
   std::cout << "  service record bytes (reference: serial run_trial)\n";
   for (const Shape& shape : shapes) {
-    svc::ScenarioService service({.workers = shape.workers,
-                                  .trial_threads = shape.trial_threads,
-                                  .progress_every = shape.progress_every});
+    svc::ScenarioService service(shape.service);
     std::mutex mutex;
     std::condition_variable cv;
     bool finished = false;
@@ -351,16 +333,11 @@ int run_svc_group(const Options& options) {
 /// function of the seed across the cached and uncached pipelines and thread
 /// counts.
 int run_baselines_group(const Options& options) {
-  struct Shape {
-    const char* label;
-    int threads;
-    bool cached;
-    std::uint64_t seed;
-  };
   const std::uint64_t base_seed = options.seed;
   constexpr Round kRounds = 120;
 
-  auto run_jks = [&](const Shape& shape, TraceHashRecorder& recorder) {
+  auto run_jks = [&](const PipelineConfig& shape,
+                     TraceHashRecorder& recorder) {
     constexpr std::size_t n = 24;
     Scenario scenario(
         std::make_unique<MatrixMetric>(n, isolated_distances(n, 1.0e6)),
@@ -372,9 +349,7 @@ int run_baselines_group(const Options& options) {
     });
     const CarrierSensing sensing = scenario.sensing_local();
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                  EngineConfig{.seed = shape.seed,
-                               .threads = shape.threads,
-                               .cache_topology = shape.cached});
+                  shape.engine);
     TIntervalAdversary adversary(*matrix, {.interval = 4});
     adversary.set_frontier([&protocols](NodeId v) {
       return static_cast<const JksBroadcastProtocol&>(*protocols[v.value])
@@ -385,7 +360,8 @@ int run_baselines_group(const Options& options) {
     for (Round r = 0; r < kRounds; ++r) engine.step();
   };
 
-  auto run_oppo = [&](const Shape& shape, TraceHashRecorder& recorder) {
+  auto run_oppo = [&](const PipelineConfig& shape,
+                      TraceHashRecorder& recorder) {
     Rng topo_rng(base_seed);
     Scenario scenario(cluster_chain(4, 5, 0.6, 0.05, topo_rng),
                       ScenarioConfig{});
@@ -397,9 +373,7 @@ int run_baselines_group(const Options& options) {
     });
     const CarrierSensing sensing = scenario.sensing_local();
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                  EngineConfig{.seed = shape.seed,
-                               .threads = shape.threads,
-                               .cache_topology = shape.cached});
+                  shape.engine);
     ChurnDynamics churn({.arrival_rate = 0.05,
                          .departure_rate = 0.05,
                          .pinned = {source}});
@@ -410,19 +384,19 @@ int run_baselines_group(const Options& options) {
 
   auto audit_rows = [&](const char* name, auto&& runner,
                         bool seed_invariant) {
-    const Shape reference{"serial-delta", 1, true, base_seed};
+    const PipelineConfig reference{"serial-delta", {.seed = base_seed}};
     TraceHashRecorder ref_trace;
     runner(reference, ref_trace);
-    std::vector<Shape> rows = {
-        {"serial-uncached", 1, false, base_seed},
-        {"threads", options.threads, true, base_seed},
-        {"threads (repeat)", options.threads, true, base_seed},
+    std::vector<PipelineConfig> rows = {
+        {"serial-uncached", {.seed = base_seed, .cache_topology = false}},
+        {"threads", {.seed = base_seed, .threads = options.threads}},
+        {"threads (repeat)", {.seed = base_seed, .threads = options.threads}},
     };
     if (seed_invariant)
-      rows.push_back({"other-engine-seed", 1, true,
-                      base_seed ^ 0x9e3779b97f4a7c15ull});
+      rows.push_back({"other-engine-seed",
+                      {.seed = base_seed ^ 0x9e3779b97f4a7c15ull}});
     int bad = 0;
-    for (const Shape& shape : rows) {
+    for (const PipelineConfig& shape : rows) {
       TraceHashRecorder trace;
       runner(shape, trace);
       const DeterminismReport report =
@@ -441,7 +415,7 @@ int run_baselines_group(const Options& options) {
 }
 
 int run(const Options& options) {
-  const PipelineConfig reference{"cached+grid-serial", true, 1};
+  const PipelineConfig reference{"cached+grid-serial", {}};
   int call = 0;
   const DeterminismReport report = DeterminismAuditor::audit(
       [&](TraceHashRecorder& recorder) {
